@@ -55,8 +55,13 @@ namespace {
 using namespace dilu;
 using namespace dilu::perfbench;
 
-/** Upper bound on the sharded driver's worker threads. */
-constexpr int kMaxThreads = 4;
+/**
+ * Upper bound on the sharded driver's worker threads. On a 4-vCPU host
+ * with busy neighbours, four workers made every barrier window wait for
+ * the slowest vCPU and reps of idle_fleet varied by +-20%; two workers
+ * kept them within 2%.
+ */
+constexpr int kMaxThreads = 2;
 
 /** Extra set-up samples after each rep: this much set-up time ... */
 constexpr double kSetupSliceSeconds = 0.05;
