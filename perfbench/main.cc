@@ -13,7 +13,7 @@
  * --trace 0 repeats the workload's sub-runs until S seconds have passed
  * (at least one full round) and reports the end-to-end metrics: host
  * set-up and run time (medians over reps), peak RSS, and the simulated
- * outcomes (means over the round's sub-seeds, identical on every run).
+ * outcomes (medians over the round's sub-seeds, identical on every run).
  *
  * --trace 1 runs sub-run 0 untraced, then traced (spans around the
  * benchmark's calls into each layer), then — for the sharded workload —

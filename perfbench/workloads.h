@@ -6,7 +6,7 @@
  *
  * One benchmark run of a workload simulates `subruns` sub-seeds derived
  * from the run's seed — a small seed sweep — so the simulated outcomes
- * it reports (SLO violations, availability, occupancy) average over
+ * it reports (SLO violations, availability, occupancy) rest on
  * enough simulated traffic to be steady from one seed to the next.
  */
 #ifndef DILU_PERFBENCH_WORKLOADS_H_
