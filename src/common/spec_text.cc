@@ -1,7 +1,9 @@
 #include "common/spec_text.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace dilu::spec_text {
@@ -17,8 +19,14 @@ FormatTime(TimeUs t)
 std::string
 FormatDouble(double v)
 {
+  // The shortest of %.6g .. %.17g that reads back as `v`: values %g
+  // already printed exactly keep their %g form, and every other value
+  // still parses back to the same double.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
+  for (int precision = 6; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
   return buf;
 }
 
@@ -101,7 +109,9 @@ ParseDouble(const std::string& tok, double* out)
   try {
     std::size_t used = 0;
     const double v = std::stod(tok, &used);
-    if (used != tok.size()) return false;
+    // NaN passes every range check (NaN <= 0 is false) and infinities
+    // have no place in a spec, so neither is a number here.
+    if (used != tok.size() || !std::isfinite(v)) return false;
     *out = v;
   } catch (...) {
     return false;

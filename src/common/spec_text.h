@@ -19,7 +19,11 @@ namespace dilu::spec_text {
 /** Render a time with the densest exact suffix (1500000 -> "1500ms"). */
 std::string FormatTime(TimeUs t);
 
-/** Render a double without trailing zeros ("2.5", "80"). */
+/**
+ * Render a double without trailing zeros ("2.5", "80", "12.3456789"):
+ * %g when that reads back exactly, otherwise the fewest extra digits
+ * (up to 17) that do, so ParseDouble(FormatDouble(v)) == v.
+ */
 std::string FormatDouble(double v);
 
 /**
@@ -35,7 +39,7 @@ bool ParseInt(const std::string& tok, std::int32_t* out);
 /** Parse a whole-token non-negative uint64 (seeds). */
 bool ParseUint64(const std::string& tok, std::uint64_t* out);
 
-/** Parse a whole-token double ("2.5"). */
+/** Parse a whole-token finite double ("2.5"; "nan" and "inf" fail). */
 bool ParseDouble(const std::string& tok, double* out);
 
 /** Strip "prefix" ("fn=", "rps=", "x") from `tok`; empty on mismatch. */

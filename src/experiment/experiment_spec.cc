@@ -1,7 +1,12 @@
 #include "experiment/experiment_spec.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/spec_text.h"
 #include "models/model_catalog.h"
@@ -15,7 +20,6 @@ using spec_text::ParseDouble;
 using spec_text::ParseInt;
 using spec_text::ParseTime;
 using spec_text::ParseUint64;
-using spec_text::StripPrefix;
 
 const char*
 ToString(ArrivalKind kind)
@@ -146,124 +150,587 @@ ExperimentSpec::EffectiveRunFor() const
   return last + Sec(5);
 }
 
+namespace {
+
+// --- the spec-key tables ---------------------------------------------
+//
+// Every `key=value` of a cluster / storage / nic / deploy / workload
+// line is one SpecKey entry. The loader (Parse), the printer (ToText)
+// and the sweep's parameter paths (ApplyParam) all go through it, so a
+// key's name, applicability, validation and canonical form are written
+// once.
+
+/**
+ * Where a key applies, as a bit set over a section's line variants:
+ * the task type on deploy lines, the arrival kind on workload lines.
+ * A key outside the line's scope is rejected at any value.
+ */
+using Scope = unsigned;
+constexpr Scope kAll = ~0u;
+constexpr Scope kInference = 1u << 0;
+constexpr Scope kTraining = 1u << 1;
+
+constexpr Scope
+KindScope(ArrivalKind kind)
+{
+  return 1u << static_cast<unsigned>(kind);
+}
+
+constexpr Scope kOpenKinds = kAll & ~KindScope(ArrivalKind::kClosed);
+
+Scope LineScope(const ClusterSection&) { return kAll; }
+Scope LineScope(const FabricSection&) { return kAll; }
+Scope
+LineScope(const DeploySpec& d)
+{
+  return d.fn.type == TaskType::kTraining ? kTraining : kInference;
+}
+Scope LineScope(const WorkloadSpec& w) { return KindScope(w.kind); }
+
+/** Why a key outside the line's scope is refused there. */
+std::string
+ScopeError(const DeploySpec& d)
+{
+  return d.fn.type == TaskType::kTraining
+             ? "applies to inference deploys only"
+             : "applies to training deploys only";
+}
+std::string
+ScopeError(const WorkloadSpec& w)
+{
+  return std::string("does not apply to kind '") + ToString(w.kind) + "'";
+}
+/** Cluster, storage and nic keys apply to every line of their kind. */
+template <typename S>
+std::string
+ScopeError(const S&)
+{
+  return {};
+}
+
+/** Flags of a SpecKey. */
+constexpr unsigned kReserved = 1u << 0;  ///< a sweep may not vary it
+constexpr unsigned kPrinted = 1u << 1;   ///< printed even at its default
+
+/** One key of a section `S`'s lines. */
+template <typename S>
+struct SpecKey {
+  std::string_view name;
+  Scope scope;
+  /** Parse `v` into `s`; returns "" or why `v` is not a valid value. */
+  std::string (*set)(S& s, const std::string& v);
+  /**
+   * The field's canonical text. ToText leaves the key out when this
+   * equals the text of a default-constructed section ("" for an unset
+   * override), unless the key is kPrinted.
+   */
+  std::string (*get)(const S& s);
+  unsigned flags = 0;
+};
+
+// Value steps the entries share: each parses `v` into `*out` and
+// returns "" or why `v` was rejected; `*out` is untouched on failure.
+
+template <typename T>
+std::string
+IntAtLeast(const std::string& v, std::int32_t lo, T* out)
+{
+  std::int32_t i = 0;
+  if (!ParseInt(v, &i) || i < lo) {
+    return "must be an int >= " + std::to_string(lo);
+  }
+  *out = i;
+  return {};
+}
+
+template <typename T>
+std::string
+PositiveDouble(const std::string& v, T* out)
+{
+  double x = 0.0;
+  if (!ParseDouble(v, &x) || x <= 0.0) return "must be > 0";
+  *out = x;
+  return {};
+}
+
+std::string
+Fraction(const std::string& v, double* out)
+{
+  double x = 0.0;
+  if (!ParseDouble(v, &x) || x <= 0.0 || x > 1.0) {
+    return "must be in (0, 1]";
+  }
+  *out = x;
+  return {};
+}
+
+std::string
+PositiveTime(const std::string& v, TimeUs* out)
+{
+  TimeUs t = 0;
+  if (!ParseTime(v, &t) || t <= 0) return "wants a time > 0";
+  *out = t;
+  return {};
+}
+
+std::string
+AnyTime(const std::string& v, TimeUs* out)
+{
+  return ParseTime(v, out) ? "" : "wants a time (e.g. 10s)";
+}
+
+template <typename T>
+std::string
+Word(const std::string& v, std::initializer_list<const char*> words, T* out)
+{
+  std::string want;
+  for (const char* w : words) {
+    if (v == w) {
+      *out = v;
+      return {};
+    }
+    want += (want.empty() ? "" : "|") + std::string(w);
+  }
+  return "wants " + want;
+}
+
+std::string
+OnOff(const std::string& v, std::optional<bool>* out)
+{
+  if (v != "on" && v != "off") return "wants on|off";
+  *out = v == "on";
+  return {};
+}
+
+std::string
+Seed(const std::string& v, std::optional<std::uint64_t>* out)
+{
+  std::uint64_t u = 0;
+  if (!ParseUint64(v, &u)) return "must be a non-negative int";
+  *out = u;
+  return {};
+}
+
+/** The canonical text of a set override, "" when unset. */
+template <typename T>
+std::string
+Opt(const std::optional<T>& v)
+{
+  if (!v) return {};
+  if constexpr (std::is_same_v<T, bool>) {
+    return *v ? "on" : "off";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return FormatDouble(*v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return *v;
+  } else {
+    return std::to_string(*v);
+  }
+}
+
+using Cluster = ClusterSection;
+using Fabric = FabricSection;
+using Deploy = DeploySpec;
+using Workload = WorkloadSpec;
+using Value = const std::string&;
+
+// Entries are in canonical print order.
+
+constexpr SpecKey<Cluster> kClusterKeys[] = {
+    {"nodes", kAll,
+     [](Cluster& c, Value v) { return IntAtLeast(v, 1, &c.nodes); },
+     [](const Cluster& c) { return Opt(c.nodes); }},
+    {"gpus_per_node", kAll,
+     [](Cluster& c, Value v) { return IntAtLeast(v, 1, &c.gpus_per_node); },
+     [](const Cluster& c) { return Opt(c.gpus_per_node); }},
+    {"preset", kAll,
+     [](Cluster& c, Value v) {
+       return Word(v,
+                   {"dilu", "exclusive", "mps-l", "mps-r", "tgs", "fastgs",
+                    "infless-l", "infless-r"},
+                   &c.preset);
+     },
+     [](const Cluster& c) { return c.preset; }},
+    {"scheduler", kAll,
+     [](Cluster& c, Value v) {
+       return Word(v, {"dilu", "exclusive", "static"}, &c.scheduler);
+     },
+     [](const Cluster& c) { return Opt(c.scheduler); }},
+    {"sharing", kAll,
+     [](Cluster& c, Value v) {
+       return Word(v, {"dilu", "static", "tgs", "fastgs"}, &c.sharing);
+     },
+     [](const Cluster& c) { return Opt(c.sharing); }},
+    {"quota_mode", kAll,
+     [](Cluster& c, Value v) {
+       return Word(v, {"dilu", "limit", "request", "full"}, &c.quota_mode);
+     },
+     [](const Cluster& c) { return Opt(c.quota_mode); }},
+    {"recovery", kAll,
+     [](Cluster& c, Value v) {
+       return Word(v, {"joint", "greedy"}, &c.recovery);
+     },
+     [](const Cluster& c) { return Opt(c.recovery); }},
+    {"warm_starts", kAll,
+     [](Cluster& c, Value v) { return OnOff(v, &c.warm_starts); },
+     [](const Cluster& c) { return Opt(c.warm_starts); }},
+    {"rc", kAll,
+     [](Cluster& c, Value v) {
+       return OnOff(v, &c.resource_complementarity);
+     },
+     [](const Cluster& c) { return Opt(c.resource_complementarity); }},
+    {"wa", kAll,
+     [](Cluster& c, Value v) { return OnOff(v, &c.workload_affinity); },
+     [](const Cluster& c) { return Opt(c.workload_affinity); }},
+    {"seed", kAll, [](Cluster& c, Value v) { return Seed(v, &c.seed); },
+     [](const Cluster& c) { return Opt(c.seed); }, kReserved},
+};
+
+constexpr SpecKey<Fabric> kStorageKeys[] = {
+    {"bw", kAll,
+     [](Fabric& f, Value v) { return PositiveDouble(v, &f.storage_bw); },
+     [](const Fabric& f) { return Opt(f.storage_bw); }},
+    {"gc", kAll,
+     [](Fabric& f, Value v) {
+       double x = 0.0;
+       if (!ParseDouble(v, &x) || x < 0.0 || x > 0.9) {
+         return std::string("must be in [0, 0.9]");
+       }
+       f.storage_gc = x;
+       return std::string();
+     },
+     [](const Fabric& f) { return Opt(f.storage_gc); }},
+    {"devices", kAll,
+     [](Fabric& f, Value v) {
+       return IntAtLeast(v, 1, &f.storage_devices);
+     },
+     [](const Fabric& f) { return Opt(f.storage_devices); }},
+};
+
+constexpr SpecKey<Fabric> kNicKeys[] = {
+    {"rate", kAll,
+     [](Fabric& f, Value v) { return PositiveDouble(v, &f.nic_rate); },
+     [](const Fabric& f) { return Opt(f.nic_rate); }},
+    {"burst", kAll,
+     [](Fabric& f, Value v) { return PositiveDouble(v, &f.nic_burst); },
+     [](const Fabric& f) { return Opt(f.nic_burst); }},
+};
+
+// The keys every deploy takes lead the table: ToText prints the task
+// word after them and before the task's own keys.
+constexpr SpecKey<Deploy> kDeployKeys[] = {
+    {"model", kAll,
+     [](Deploy& d, Value v) {
+       if (!models::HasModel(v)) return std::string("wants a catalog model");
+       d.fn.model = v;
+       return std::string();
+     },
+     [](const Deploy& d) { return d.fn.model; }, kReserved},
+    {"name", kAll,
+     [](Deploy& d, Value v) {
+       if (v.empty()) return std::string("wants a non-empty name");
+       d.fn.name = v;
+       return std::string();
+     },
+     [](const Deploy& d) { return d.fn.name; }, kReserved},
+    // --- training ---
+    {"workers", kTraining,
+     [](Deploy& d, Value v) { return IntAtLeast(v, 1, &d.fn.workers); },
+     [](const Deploy& d) { return std::to_string(d.fn.workers); }},
+    {"iterations", kTraining,
+     [](Deploy& d, Value v) {
+       return IntAtLeast(v, 0, &d.fn.target_iterations);
+     },
+     [](const Deploy& d) { return std::to_string(d.fn.target_iterations); }},
+    {"checkpoint_every", kTraining,
+     [](Deploy& d, Value v) {
+       return PositiveTime(v, &d.fn.checkpoint_every);
+     },
+     [](const Deploy& d) { return FormatTime(d.fn.checkpoint_every); }},
+    {"save_cost", kTraining,
+     [](Deploy& d, Value v) {
+       return PositiveTime(v, &d.fn.checkpoint_save_cost);
+     },
+     [](const Deploy& d) { return FormatTime(d.fn.checkpoint_save_cost); }},
+    {"start", kTraining,
+     [](Deploy& d, Value v) { return AnyTime(v, &d.start); },
+     [](const Deploy& d) { return FormatTime(d.start); }},
+    // --- inference ---
+    {"shards", kInference,
+     [](Deploy& d, Value v) { return IntAtLeast(v, 1, &d.fn.shards); },
+     [](const Deploy& d) { return std::to_string(d.fn.shards); }},
+    {"provision", kInference,
+     [](Deploy& d, Value v) { return IntAtLeast(v, 0, &d.provision); },
+     [](const Deploy& d) { return std::to_string(d.provision); }},
+    {"scaler", kInference,
+     [](Deploy& d, Value v) {
+       return Word(v, {"dilu-lazy", "eager", "keep-alive"}, &d.scaler);
+     },
+     [](const Deploy& d) { return d.scaler; }},
+    {"class", kInference,
+     [](Deploy& d, Value v) -> std::string {
+       return ParseServiceClass(v, &d.fn.admission_class)
+                  ? ""
+                  : "wants critical|standard|best_effort";
+     },
+     [](const Deploy& d) -> std::string {
+       return ToString(d.fn.admission_class);
+     }},
+    {"queue_cap", kInference,
+     [](Deploy& d, Value v) { return IntAtLeast(v, 1, &d.fn.queue_cap); },
+     [](const Deploy& d) { return std::to_string(d.fn.queue_cap); }},
+    {"retries", kInference,
+     [](Deploy& d, Value v) {
+       return IntAtLeast(v, 0, &d.fn.retry_budget);
+     },
+     [](const Deploy& d) { return std::to_string(d.fn.retry_budget); }},
+    {"backoff", kInference,
+     [](Deploy& d, Value v) { return PositiveTime(v, &d.fn.retry_backoff); },
+     [](const Deploy& d) { return FormatTime(d.fn.retry_backoff); }},
+    {"deadline", kInference,
+     [](Deploy& d, Value v) { return PositiveTime(v, &d.fn.deadline); },
+     [](const Deploy& d) { return FormatTime(d.fn.deadline); }},
+};
+
+constexpr Scope kBursty = KindScope(ArrivalKind::kBursty);
+constexpr Scope kPeriodic = KindScope(ArrivalKind::kPeriodic);
+constexpr Scope kSporadic = KindScope(ArrivalKind::kSporadic);
+constexpr Scope kClosed = KindScope(ArrivalKind::kClosed);
+
+// The arrival-shape keys without a useful default (rps, cv, clients,
+// think) are always printed.
+constexpr SpecKey<Workload> kWorkloadKeys[] = {
+    {"rps", kOpenKinds,
+     [](Workload& w, Value v) { return PositiveDouble(v, &w.rps); },
+     [](const Workload& w) { return FormatDouble(w.rps); }, kPrinted},
+    {"cv", KindScope(ArrivalKind::kGamma),
+     [](Workload& w, Value v) { return PositiveDouble(v, &w.cv); },
+     [](const Workload& w) { return FormatDouble(w.cv); }, kPrinted},
+    {"scale", kBursty,
+     [](Workload& w, Value v) { return PositiveDouble(v, &w.scale); },
+     [](const Workload& w) { return FormatDouble(w.scale); }},
+    {"len", kBursty,
+     [](Workload& w, Value v) { return PositiveTime(v, &w.burst_len); },
+     [](const Workload& w) { return FormatTime(w.burst_len); }},
+    {"gap", kBursty,
+     [](Workload& w, Value v) { return PositiveTime(v, &w.burst_gap); },
+     [](const Workload& w) { return FormatTime(w.burst_gap); }},
+    {"amplitude", kPeriodic,
+     [](Workload& w, Value v) { return Fraction(v, &w.amplitude); },
+     [](const Workload& w) { return FormatDouble(w.amplitude); }},
+    {"period", kPeriodic,
+     [](Workload& w, Value v) { return PositiveTime(v, &w.period); },
+     [](const Workload& w) { return FormatTime(w.period); }},
+    {"active", kSporadic,
+     [](Workload& w, Value v) { return Fraction(v, &w.active); },
+     [](const Workload& w) { return FormatDouble(w.active); }},
+    {"spike", kSporadic,
+     [](Workload& w, Value v) { return PositiveTime(v, &w.spike); },
+     [](const Workload& w) { return FormatTime(w.spike); }},
+    {"clients", kClosed,
+     [](Workload& w, Value v) { return IntAtLeast(v, 1, &w.clients); },
+     [](const Workload& w) { return std::to_string(w.clients); }, kPrinted},
+    {"think", kClosed,
+     [](Workload& w, Value v) { return PositiveTime(v, &w.think); },
+     [](const Workload& w) { return FormatTime(w.think); }, kPrinted},
+    {"seed", kAll, [](Workload& w, Value v) { return Seed(v, &w.seed); },
+     [](const Workload& w) { return Opt(w.seed); }, kReserved},
+    {"start", kAll,
+     [](Workload& w, Value v) { return AnyTime(v, &w.start); },
+     [](const Workload& w) { return FormatTime(w.start); }},
+    {"warmup", kAll,
+     [](Workload& w, Value v) { return AnyTime(v, &w.warmup); },
+     [](const Workload& w) { return FormatTime(w.warmup); }},
+};
+
+template <typename S, std::size_t N>
+const SpecKey<S>*
+FindKey(const SpecKey<S> (&keys)[N], std::string_view name)
+{
+  for (const SpecKey<S>& k : keys) {
+    if (k.name == name) return &k;
+  }
+  return nullptr;
+}
+
+/**
+ * Set `k` on `s` from `value`: the one step the loader and ApplyParam
+ * share. On failure `*error` is "<key> <why>" and `s` is untouched.
+ */
+template <typename S>
+bool
+SetKey(const SpecKey<S>& k, S* s, std::string_view value,
+       std::string* error)
+{
+  std::string why = (k.scope & LineScope(*s)) == 0
+                        ? ScopeError(*s)
+                        : k.set(*s, std::string(value));
+  if (why.empty()) return true;
+  *error = std::string(k.name) + " " + why;
+  return false;
+}
+
+/** " key=value" for each key in [first, last) that `s` prints. */
+template <typename S>
+std::string
+PrintKeys(const SpecKey<S>* first, const SpecKey<S>* last, const S& s)
+{
+  static const S kDefaults{};
+  std::string out;
+  for (; first != last; ++first) {
+    if ((first->scope & LineScope(s)) == 0) continue;
+    const std::string v = first->get(s);
+    if ((first->flags & kPrinted) != 0 || v != first->get(kDefaults)) {
+      out.append(" ").append(first->name).append("=").append(v);
+    }
+  }
+  return out;
+}
+
+template <typename S, std::size_t N>
+std::string
+PrintKeys(const SpecKey<S> (&keys)[N], const S& s)
+{
+  return PrintKeys(std::begin(keys), std::end(keys), s);
+}
+
+using Words = std::vector<std::string_view>;
+
+/** Split `line` at whitespace into `*words` (views into `line`). */
+void
+SplitWords(std::string_view line, Words* words)
+{
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  words->clear();
+  std::size_t at = line.find_first_not_of(kSpace);
+  while (at != std::string_view::npos) {
+    const std::size_t end = line.find_first_of(kSpace, at);
+    words->push_back(line.substr(at, end - at));
+    at = line.find_first_not_of(kSpace, end);
+  }
+}
+
+/** Apply the `key=value` words in [first, last) through `keys`. */
+template <typename S, std::size_t N>
+bool
+ParseKeys(const SpecKey<S> (&keys)[N], const char* section,
+          const std::string_view* first, const std::string_view* last,
+          int line_no, S* s, std::string* error)
+{
+  std::string why;
+  for (; first != last; ++first) {
+    const std::size_t eq = first->find('=');
+    const SpecKey<S>* k = eq == std::string_view::npos
+                              ? nullptr
+                              : FindKey(keys, first->substr(0, eq));
+    if (k == nullptr) {
+      return Fail(error, line_no,
+                  std::string("unknown ") + section + " key '"
+                      + std::string(*first) + "'");
+    }
+    if (!SetKey(*k, s, first->substr(eq + 1), &why)) {
+      return Fail(error, line_no, why);
+    }
+  }
+  return true;
+}
+
+bool
+ParseDeployLine(Words* words, int line_no, DeploySpec* d,
+                std::string* error)
+{
+  // The task word may stand anywhere on the line and decides which
+  // keys apply, so it is taken out before the keys are read.
+  const std::size_t n = words->size();
+  words->erase(std::remove(words->begin() + 1, words->end(),
+                           std::string_view("training")),
+               words->end());
+  if (words->size() != n) d->fn.type = TaskType::kTraining;
+  if (!ParseKeys(kDeployKeys, "deploy", words->data() + 1,
+                 words->data() + words->size(), line_no, d, error)) {
+    return false;
+  }
+  if (d->fn.model.empty()) {
+    return Fail(error, line_no, "deploy needs model=<catalog-name>");
+  }
+  return true;
+}
+
+bool
+ParseWorkloadLine(const Words& words, int line_no, WorkloadSpec* w,
+                  std::string* error)
+{
+  std::int32_t fn = 0;
+  if (words.size() < 2 || words[1].substr(0, 3) != "fn="
+      || !ParseInt(std::string(words[1].substr(3)), &fn) || fn < 0) {
+    return Fail(error, line_no,
+                "workload needs fn=<deploy-index> first");
+  }
+  w->fn = fn;
+  if (words.size() < 3) {
+    return Fail(error, line_no, "workload needs an arrival kind");
+  }
+  constexpr int kKinds = static_cast<int>(ArrivalKind::kClosed) + 1;
+  int kind = 0;
+  while (kind < kKinds
+         && words[2] != ToString(static_cast<ArrivalKind>(kind))) {
+    ++kind;
+  }
+  if (kind == kKinds) {
+    return Fail(error, line_no,
+                "unknown arrival kind '" + std::string(words[2]) + "'");
+  }
+  w->kind = static_cast<ArrivalKind>(kind);
+
+  const std::size_t at = static_cast<std::size_t>(
+      std::find(words.begin() + 3, words.end(), "for") - words.begin());
+  if (!ParseKeys(kWorkloadKeys, "workload", words.data() + 3,
+                 words.data() + at, line_no, w, error)) {
+    return false;
+  }
+  if (at == words.size()) {
+    return Fail(error, line_no, "workload needs a 'for <time>' window");
+  }
+  if (at + 1 == words.size()
+      || !PositiveTime(std::string(words[at + 1]), &w->duration).empty()) {
+    return Fail(error, line_no, "'for' wants a time > 0");
+  }
+  if (at + 2 < words.size()) {
+    return Fail(error, line_no,
+                "unexpected trailing '" + std::string(words[at + 2])
+                    + "' ('for <time>' ends the line)");
+  }
+  return true;
+}
+
+}  // namespace
+
 std::string
 ExperimentSpec::ToText() const
 {
   std::ostringstream out;
   out << "experiment " << (name_.empty() ? "unnamed" : name_) << "\n";
 
-  {
-    std::ostringstream c;
-    const ClusterSection& k = cluster_;
-    if (k.nodes) c << " nodes=" << *k.nodes;
-    if (k.gpus_per_node) c << " gpus_per_node=" << *k.gpus_per_node;
-    if (k.preset != "dilu") c << " preset=" << k.preset;
-    if (k.scheduler) c << " scheduler=" << *k.scheduler;
-    if (k.sharing) c << " sharing=" << *k.sharing;
-    if (k.quota_mode) c << " quota_mode=" << *k.quota_mode;
-    if (k.recovery) c << " recovery=" << *k.recovery;
-    if (k.warm_starts) {
-      c << " warm_starts=" << (*k.warm_starts ? "on" : "off");
-    }
-    if (k.resource_complementarity) {
-      c << " rc=" << (*k.resource_complementarity ? "on" : "off");
-    }
-    if (k.workload_affinity) {
-      c << " wa=" << (*k.workload_affinity ? "on" : "off");
-    }
-    if (k.seed) c << " seed=" << *k.seed;
-    const std::string body = c.str();
-    if (!body.empty()) out << "cluster" << body << "\n";
-  }
-
+  const std::string cluster = PrintKeys(kClusterKeys, cluster_);
+  if (!cluster.empty()) out << "cluster" << cluster << "\n";
   if (fabric_.storage) {
-    out << "storage";
-    if (fabric_.storage_bw) out << " bw=" << FormatDouble(*fabric_.storage_bw);
-    if (fabric_.storage_gc) out << " gc=" << FormatDouble(*fabric_.storage_gc);
-    if (fabric_.storage_devices) out << " devices=" << *fabric_.storage_devices;
-    out << "\n";
+    out << "storage" << PrintKeys(kStorageKeys, fabric_) << "\n";
   }
-  if (fabric_.nic) {
-    out << "nic";
-    if (fabric_.nic_rate) out << " rate=" << FormatDouble(*fabric_.nic_rate);
-    if (fabric_.nic_burst) out << " burst=" << FormatDouble(*fabric_.nic_burst);
-    out << "\n";
-  }
+  if (fabric_.nic) out << "nic" << PrintKeys(kNicKeys, fabric_) << "\n";
 
+  const SpecKey<DeploySpec>* task_keys = std::find_if(
+      std::begin(kDeployKeys), std::end(kDeployKeys),
+      [](const SpecKey<DeploySpec>& k) { return k.scope != kAll; });
   for (const DeploySpec& d : deploys_) {
-    out << "deploy model=" << d.fn.model;
-    if (!d.fn.name.empty()) out << " name=" << d.fn.name;
-    if (d.fn.type == TaskType::kTraining) {
-      out << " training";
-      if (d.fn.workers != 1) out << " workers=" << d.fn.workers;
-      if (d.fn.target_iterations > 0) {
-        out << " iterations=" << d.fn.target_iterations;
-      }
-      if (d.fn.checkpoint_every > 0) {
-        out << " checkpoint_every=" << FormatTime(d.fn.checkpoint_every);
-      }
-      if (d.fn.checkpoint_save_cost > 0) {
-        out << " save_cost=" << FormatTime(d.fn.checkpoint_save_cost);
-      }
-      if (d.start > 0) out << " start=" << FormatTime(d.start);
-    } else {
-      if (d.fn.shards != 1) out << " shards=" << d.fn.shards;
-      if (d.provision > 0) out << " provision=" << d.provision;
-      if (!d.scaler.empty()) out << " scaler=" << d.scaler;
-      if (d.fn.admission_class != ServiceClass::kStandard) {
-        out << " class=" << ToString(d.fn.admission_class);
-      }
-      if (d.fn.queue_cap > 0) out << " queue_cap=" << d.fn.queue_cap;
-      if (d.fn.retry_budget > 0) out << " retries=" << d.fn.retry_budget;
-      if (d.fn.retry_backoff != Ms(100)) {
-        out << " backoff=" << FormatTime(d.fn.retry_backoff);
-      }
-      if (d.fn.deadline > 0) out << " deadline=" << FormatTime(d.fn.deadline);
-    }
-    out << "\n";
+    out << "deploy" << PrintKeys(std::begin(kDeployKeys), task_keys, d);
+    if (d.fn.type == TaskType::kTraining) out << " training";
+    out << PrintKeys(task_keys, std::end(kDeployKeys), d) << "\n";
   }
 
   for (const WorkloadSpec& w : workloads_) {
-    out << "workload fn=" << w.fn << " " << ToString(w.kind);
-    switch (w.kind) {
-      case ArrivalKind::kConstant:
-      case ArrivalKind::kPoisson:
-        out << " rps=" << FormatDouble(w.rps);
-        break;
-      case ArrivalKind::kGamma:
-        out << " rps=" << FormatDouble(w.rps) << " cv="
-            << FormatDouble(w.cv);
-        break;
-      case ArrivalKind::kBursty:
-        out << " rps=" << FormatDouble(w.rps);
-        if (w.scale != 4.0) out << " scale=" << FormatDouble(w.scale);
-        if (w.burst_len != Sec(30)) {
-          out << " len=" << FormatTime(w.burst_len);
-        }
-        if (w.burst_gap != Sec(90)) {
-          out << " gap=" << FormatTime(w.burst_gap);
-        }
-        break;
-      case ArrivalKind::kPeriodic:
-        out << " rps=" << FormatDouble(w.rps);
-        if (w.amplitude != 0.8) {
-          out << " amplitude=" << FormatDouble(w.amplitude);
-        }
-        if (w.period != Sec(120)) out << " period=" << FormatTime(w.period);
-        break;
-      case ArrivalKind::kSporadic:
-        out << " rps=" << FormatDouble(w.rps);
-        if (w.active != 0.15) out << " active=" << FormatDouble(w.active);
-        if (w.spike != Sec(8)) out << " spike=" << FormatTime(w.spike);
-        break;
-      case ArrivalKind::kClosed:
-        out << " clients=" << w.clients << " think=" << FormatTime(w.think);
-        break;
-    }
-    if (w.seed) out << " seed=" << *w.seed;
-    if (w.start > 0) out << " start=" << FormatTime(w.start);
-    if (w.warmup > 0) out << " warmup=" << FormatTime(w.warmup);
-    out << " for " << FormatTime(w.duration) << "\n";
+    out << "workload fn=" << w.fn << " " << ToString(w.kind)
+        << PrintKeys(kWorkloadKeys, w) << " for " << FormatTime(w.duration)
+        << "\n";
   }
 
   for (const chaos::ScenarioEvent& e : chaos_.events()) {
@@ -275,404 +742,6 @@ ExperimentSpec::ToText() const
   return out.str();
 }
 
-namespace {
-
-bool
-OneOf(const std::string& v, std::initializer_list<const char*> allowed)
-{
-  for (const char* a : allowed) {
-    if (v == a) return true;
-  }
-  return false;
-}
-
-/** Parse "on" / "off" into bool. */
-bool
-ParseOnOff(const std::string& tok, bool* out)
-{
-  if (tok == "on") {
-    *out = true;
-    return true;
-  }
-  if (tok == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-bool
-ParseClusterLine(std::istringstream& toks, int line_no,
-                 ClusterSection* cluster, std::string* error)
-{
-  std::string tok;
-  while (toks >> tok) {
-    std::string v;
-    std::int32_t i = 0;
-    std::uint64_t u = 0;
-    bool b = false;
-    if (!(v = StripPrefix(tok, "nodes=")).empty()) {
-      if (!ParseInt(v, &i) || i <= 0) {
-        return Fail(error, line_no, "nodes must be a positive int");
-      }
-      cluster->nodes = i;
-    } else if (!(v = StripPrefix(tok, "gpus_per_node=")).empty()) {
-      if (!ParseInt(v, &i) || i <= 0) {
-        return Fail(error, line_no, "gpus_per_node must be a positive int");
-      }
-      cluster->gpus_per_node = i;
-    } else if (!(v = StripPrefix(tok, "preset=")).empty()) {
-      if (!OneOf(v, {"dilu", "exclusive", "mps-l", "mps-r", "tgs",
-                     "fastgs", "infless-l", "infless-r"})) {
-        return Fail(error, line_no, "unknown preset '" + v + "'");
-      }
-      cluster->preset = v;
-    } else if (!(v = StripPrefix(tok, "scheduler=")).empty()) {
-      if (!OneOf(v, {"dilu", "exclusive", "static"})) {
-        return Fail(error, line_no, "unknown scheduler '" + v + "'");
-      }
-      cluster->scheduler = v;
-    } else if (!(v = StripPrefix(tok, "sharing=")).empty()) {
-      if (!OneOf(v, {"dilu", "static", "tgs", "fastgs"})) {
-        return Fail(error, line_no, "unknown sharing '" + v + "'");
-      }
-      cluster->sharing = v;
-    } else if (!(v = StripPrefix(tok, "quota_mode=")).empty()) {
-      if (!OneOf(v, {"dilu", "limit", "request", "full"})) {
-        return Fail(error, line_no, "unknown quota_mode '" + v + "'");
-      }
-      cluster->quota_mode = v;
-    } else if (!(v = StripPrefix(tok, "recovery=")).empty()) {
-      if (!OneOf(v, {"joint", "greedy"})) {
-        return Fail(error, line_no, "unknown recovery '" + v + "'");
-      }
-      cluster->recovery = v;
-    } else if (!(v = StripPrefix(tok, "warm_starts=")).empty()) {
-      if (!ParseOnOff(v, &b)) {
-        return Fail(error, line_no, "warm_starts wants on|off");
-      }
-      cluster->warm_starts = b;
-    } else if (!(v = StripPrefix(tok, "rc=")).empty()) {
-      if (!ParseOnOff(v, &b)) {
-        return Fail(error, line_no, "rc wants on|off");
-      }
-      cluster->resource_complementarity = b;
-    } else if (!(v = StripPrefix(tok, "wa=")).empty()) {
-      if (!ParseOnOff(v, &b)) {
-        return Fail(error, line_no, "wa wants on|off");
-      }
-      cluster->workload_affinity = b;
-    } else if (!(v = StripPrefix(tok, "seed=")).empty()) {
-      if (!ParseUint64(v, &u)) {
-        return Fail(error, line_no, "seed must be a non-negative int");
-      }
-      cluster->seed = u;
-    } else {
-      return Fail(error, line_no, "unknown cluster key '" + tok + "'");
-    }
-  }
-  return true;
-}
-
-bool
-ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
-                std::string* error)
-{
-  std::string tok;
-  bool have_model = false;
-  bool have_class = false;
-  bool have_backoff = false;
-  while (toks >> tok) {
-    std::string v;
-    std::int32_t i = 0;
-    TimeUs t = 0;
-    if (tok == "training") {
-      d->fn.type = TaskType::kTraining;
-    } else if (!(v = StripPrefix(tok, "model=")).empty()) {
-      if (!models::HasModel(v)) {
-        return Fail(error, line_no, "unknown model '" + v + "'");
-      }
-      d->fn.model = v;
-      have_model = true;
-    } else if (!(v = StripPrefix(tok, "name=")).empty()) {
-      d->fn.name = v;
-    } else if (!(v = StripPrefix(tok, "shards=")).empty()) {
-      if (!ParseInt(v, &i) || i < 1) {
-        return Fail(error, line_no, "shards must be >= 1");
-      }
-      d->fn.shards = i;
-    } else if (!(v = StripPrefix(tok, "workers=")).empty()) {
-      if (!ParseInt(v, &i) || i < 1) {
-        return Fail(error, line_no, "workers must be >= 1");
-      }
-      d->fn.workers = i;
-    } else if (!(v = StripPrefix(tok, "iterations=")).empty()) {
-      if (!ParseInt(v, &i) || i < 0) {
-        return Fail(error, line_no, "iterations must be >= 0");
-      }
-      d->fn.target_iterations = i;
-    } else if (!(v = StripPrefix(tok, "checkpoint_every=")).empty()) {
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "checkpoint_every wants a time > 0");
-      }
-      d->fn.checkpoint_every = t;
-    } else if (!(v = StripPrefix(tok, "save_cost=")).empty()) {
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "save_cost wants a time > 0");
-      }
-      d->fn.checkpoint_save_cost = t;
-    } else if (!(v = StripPrefix(tok, "provision=")).empty()) {
-      if (!ParseInt(v, &i) || i < 0) {
-        return Fail(error, line_no, "provision must be >= 0");
-      }
-      d->provision = i;
-    } else if (!(v = StripPrefix(tok, "scaler=")).empty()) {
-      if (!OneOf(v, {"dilu-lazy", "eager", "keep-alive"})) {
-        return Fail(error, line_no, "unknown scaler '" + v + "'");
-      }
-      d->scaler = v;
-    } else if (!(v = StripPrefix(tok, "class=")).empty()) {
-      if (!ParseServiceClass(v, &d->fn.admission_class)) {
-        return Fail(error, line_no,
-                    "class wants critical|standard|best_effort");
-      }
-      have_class = true;
-    } else if (!(v = StripPrefix(tok, "queue_cap=")).empty()) {
-      if (!ParseInt(v, &i) || i < 1) {
-        return Fail(error, line_no, "queue_cap must be >= 1");
-      }
-      d->fn.queue_cap = i;
-    } else if (!(v = StripPrefix(tok, "retries=")).empty()) {
-      if (!ParseInt(v, &i) || i < 0) {
-        return Fail(error, line_no, "retries must be >= 0");
-      }
-      d->fn.retry_budget = i;
-    } else if (!(v = StripPrefix(tok, "backoff=")).empty()) {
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "backoff wants a time > 0");
-      }
-      d->fn.retry_backoff = t;
-      have_backoff = true;
-    } else if (!(v = StripPrefix(tok, "deadline=")).empty()) {
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "deadline wants a time > 0");
-      }
-      d->fn.deadline = t;
-    } else if (!(v = StripPrefix(tok, "start=")).empty()) {
-      if (!ParseTime(v, &t)) {
-        return Fail(error, line_no, "start wants a time (e.g. 10s)");
-      }
-      d->start = t;
-    } else {
-      return Fail(error, line_no, "unknown deploy key '" + tok + "'");
-    }
-  }
-  if (!have_model) {
-    return Fail(error, line_no, "deploy needs model=<catalog-name>");
-  }
-  if (d->fn.type == TaskType::kInference) {
-    if (d->start > 0) {
-      return Fail(error, line_no,
-                  "start= applies to training deploys only "
-                  "(inference provisions at t=0)");
-    }
-    if (d->fn.workers != 1 || d->fn.target_iterations > 0
-        || d->fn.checkpoint_every > 0 || d->fn.checkpoint_save_cost > 0) {
-      return Fail(error, line_no,
-                  "workers/iterations/checkpoint keys need the "
-                  "'training' word");
-    }
-  } else {
-    if (d->provision > 0 || !d->scaler.empty() || d->fn.shards != 1) {
-      return Fail(error, line_no,
-                  "provision/scaler/shards apply to inference deploys "
-                  "only");
-    }
-    if (have_class || have_backoff || d->fn.queue_cap > 0
-        || d->fn.retry_budget > 0 || d->fn.deadline > 0) {
-      return Fail(error, line_no,
-                  "class/queue_cap/retries/backoff/deadline apply to "
-                  "inference deploys only");
-    }
-  }
-  return true;
-}
-
-bool
-ParseWorkloadLine(std::istringstream& toks, int line_no, WorkloadSpec* w,
-                  std::string* error)
-{
-  std::string tok;
-  std::string v;
-  std::int32_t i = 0;
-  if (!(toks >> tok) || (v = StripPrefix(tok, "fn=")).empty()
-      || !ParseInt(v, &i) || i < 0) {
-    return Fail(error, line_no,
-                "workload needs fn=<deploy-index> first");
-  }
-  w->fn = i;
-  if (!(toks >> tok)) {
-    return Fail(error, line_no, "workload needs an arrival kind");
-  }
-  if (tok == "constant") {
-    w->kind = ArrivalKind::kConstant;
-  } else if (tok == "poisson") {
-    w->kind = ArrivalKind::kPoisson;
-  } else if (tok == "gamma") {
-    w->kind = ArrivalKind::kGamma;
-  } else if (tok == "bursty") {
-    w->kind = ArrivalKind::kBursty;
-  } else if (tok == "periodic") {
-    w->kind = ArrivalKind::kPeriodic;
-  } else if (tok == "sporadic") {
-    w->kind = ArrivalKind::kSporadic;
-  } else if (tok == "closed") {
-    w->kind = ArrivalKind::kClosed;
-  } else {
-    return Fail(error, line_no, "unknown arrival kind '" + tok + "'");
-  }
-
-  // A key that belongs to a different arrival kind is a typo'd spec
-  // (e.g. `poisson cv=2`); storing-and-ignoring it would silently run
-  // different semantics than the author wrote, so reject it loudly.
-  const auto requires_kind = [&](const char* key,
-                                 std::initializer_list<ArrivalKind> ks) {
-    for (const ArrivalKind k : ks) {
-      if (w->kind == k) return true;
-    }
-    Fail(error, line_no,
-         std::string(key) + " does not apply to kind '"
-             + ToString(w->kind) + "'");
-    return false;
-  };
-  const std::initializer_list<ArrivalKind> kOpenKinds = {
-      ArrivalKind::kConstant, ArrivalKind::kPoisson, ArrivalKind::kGamma,
-      ArrivalKind::kBursty,   ArrivalKind::kPeriodic,
-      ArrivalKind::kSporadic};
-
-  bool have_for = false;
-  while (toks >> tok) {
-    double x = 0.0;
-    TimeUs t = 0;
-    std::uint64_t u = 0;
-    if (tok == "for") {
-      if (!(toks >> tok) || !ParseTime(tok, &t) || t <= 0) {
-        return Fail(error, line_no, "'for' wants a time > 0");
-      }
-      w->duration = t;
-      have_for = true;
-      if (toks >> tok) {
-        return Fail(error, line_no,
-                    "unexpected trailing '" + tok + "' ('for <time>' "
-                    "ends the line)");
-      }
-      break;
-    }
-    if (!(v = StripPrefix(tok, "rps=")).empty()) {
-      if (!requires_kind("rps=", kOpenKinds)) return false;
-      if (!ParseDouble(v, &x) || x <= 0.0) {
-        return Fail(error, line_no, "rps must be > 0");
-      }
-      w->rps = x;
-    } else if (!(v = StripPrefix(tok, "cv=")).empty()) {
-      if (!requires_kind("cv=", {ArrivalKind::kGamma})) return false;
-      if (!ParseDouble(v, &x) || x <= 0.0) {
-        return Fail(error, line_no, "cv must be > 0");
-      }
-      w->cv = x;
-    } else if (!(v = StripPrefix(tok, "scale=")).empty()) {
-      if (!requires_kind("scale=", {ArrivalKind::kBursty})) return false;
-      if (!ParseDouble(v, &x) || x <= 0.0) {
-        return Fail(error, line_no, "scale must be > 0");
-      }
-      w->scale = x;
-    } else if (!(v = StripPrefix(tok, "len=")).empty()) {
-      if (!requires_kind("len=", {ArrivalKind::kBursty})) return false;
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "len wants a time > 0");
-      }
-      w->burst_len = t;
-    } else if (!(v = StripPrefix(tok, "gap=")).empty()) {
-      if (!requires_kind("gap=", {ArrivalKind::kBursty})) return false;
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "gap wants a time > 0");
-      }
-      w->burst_gap = t;
-    } else if (!(v = StripPrefix(tok, "amplitude=")).empty()) {
-      if (!requires_kind("amplitude=", {ArrivalKind::kPeriodic})) {
-        return false;
-      }
-      if (!ParseDouble(v, &x) || x <= 0.0 || x > 1.0) {
-        return Fail(error, line_no, "amplitude must be in (0, 1]");
-      }
-      w->amplitude = x;
-    } else if (!(v = StripPrefix(tok, "period=")).empty()) {
-      if (!requires_kind("period=", {ArrivalKind::kPeriodic})) {
-        return false;
-      }
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "period wants a time > 0");
-      }
-      w->period = t;
-    } else if (!(v = StripPrefix(tok, "active=")).empty()) {
-      if (!requires_kind("active=", {ArrivalKind::kSporadic})) {
-        return false;
-      }
-      if (!ParseDouble(v, &x) || x <= 0.0 || x > 1.0) {
-        return Fail(error, line_no, "active must be in (0, 1]");
-      }
-      w->active = x;
-    } else if (!(v = StripPrefix(tok, "spike=")).empty()) {
-      if (!requires_kind("spike=", {ArrivalKind::kSporadic})) {
-        return false;
-      }
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "spike wants a time > 0");
-      }
-      w->spike = t;
-    } else if (!(v = StripPrefix(tok, "clients=")).empty()) {
-      if (!requires_kind("clients=", {ArrivalKind::kClosed})) {
-        return false;
-      }
-      if (!ParseInt(v, &i) || i < 1) {
-        return Fail(error, line_no, "clients must be >= 1");
-      }
-      w->clients = i;
-    } else if (!(v = StripPrefix(tok, "think=")).empty()) {
-      if (!requires_kind("think=", {ArrivalKind::kClosed})) {
-        return false;
-      }
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "think wants a time > 0");
-      }
-      w->think = t;
-    } else if (!(v = StripPrefix(tok, "seed=")).empty()) {
-      if (!ParseUint64(v, &u)) {
-        return Fail(error, line_no, "seed must be a non-negative int");
-      }
-      w->seed = u;
-    } else if (!(v = StripPrefix(tok, "start=")).empty()) {
-      if (!ParseTime(v, &t)) {
-        return Fail(error, line_no, "start wants a time (e.g. 10s)");
-      }
-      w->start = t;
-    } else if (!(v = StripPrefix(tok, "warmup=")).empty()) {
-      if (!ParseTime(v, &t)) {
-        return Fail(error, line_no, "warmup wants a time (e.g. 10s)");
-      }
-      w->warmup = t;
-    } else {
-      return Fail(error, line_no, "unknown workload key '" + tok + "'");
-    }
-  }
-  if (!have_for) {
-    return Fail(error, line_no, "workload needs a 'for <time>' window");
-  }
-  return true;
-}
-
-}  // namespace
-
 bool
 ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
                       std::string* error)
@@ -682,120 +751,78 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
   std::vector<int> chaos_lines;
   std::istringstream in(text);
   std::string line;
+  Words words;
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     line = spec_text::StripComment(line);
-    std::istringstream toks(line);
-    std::string tok;
-    if (!(toks >> tok)) continue;  // blank (or comment-only) line
-    if (tok == "experiment") {
-      std::string name;
-      if (!(toks >> name)) {
+    SplitWords(line, &words);
+    if (words.empty()) continue;  // blank (or comment-only) line
+    const std::string_view head = words[0];
+    const std::string_view* args = words.data() + 1;
+    const std::string_view* end = words.data() + words.size();
+    // Directives with a fixed word count reject anything past it.
+    const auto no_trailing = [&](std::size_t count) {
+      if (words.size() <= count) return true;
+      return Fail(error, line_no,
+                  "unexpected trailing '" + std::string(words[count])
+                      + "'");
+    };
+    if (head == "experiment") {
+      if (words.size() < 2) {
         return Fail(error, line_no, "experiment needs a name");
       }
-      std::string rest;
-      if (toks >> rest) {
-        return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-      }
-      spec.set_name(name);
-    } else if (tok == "cluster") {
-      if (!ParseClusterLine(toks, line_no, &spec.cluster_, error)) {
+      if (!no_trailing(2)) return false;
+      spec.set_name(std::string(words[1]));
+    } else if (head == "cluster") {
+      if (!ParseKeys(kClusterKeys, "cluster", args, end, line_no,
+                     &spec.cluster_, error)) {
         return false;
       }
-    } else if (tok == "storage") {
+    } else if (head == "storage") {
       spec.fabric_.storage = true;
-      std::string key;
-      while (toks >> key) {
-        std::string v;
-        double x = 0.0;
-        std::int32_t i = 0;
-        if (!(v = StripPrefix(key, "bw=")).empty()) {
-          if (!ParseDouble(v, &x) || x <= 0.0) {
-            return Fail(error, line_no, "storage bw must be > 0 (GB/s)");
-          }
-          spec.fabric_.storage_bw = x;
-        } else if (!(v = StripPrefix(key, "gc=")).empty()) {
-          if (!ParseDouble(v, &x) || x < 0.0 || x > 0.9) {
-            return Fail(error, line_no,
-                        "storage gc duty must be in [0, 0.9]");
-          }
-          spec.fabric_.storage_gc = x;
-        } else if (!(v = StripPrefix(key, "devices=")).empty()) {
-          if (!ParseInt(v, &i) || i < 1) {
-            return Fail(error, line_no, "storage devices must be >= 1");
-          }
-          spec.fabric_.storage_devices = i;
-        } else {
-          return Fail(error, line_no,
-                      "unknown storage key '" + key
-                          + "' (want bw=/gc=/devices=)");
-        }
+      if (!ParseKeys(kStorageKeys, "storage", args, end, line_no,
+                     &spec.fabric_, error)) {
+        return false;
       }
-    } else if (tok == "nic") {
+    } else if (head == "nic") {
       spec.fabric_.nic = true;
-      std::string key;
-      while (toks >> key) {
-        std::string v;
-        double x = 0.0;
-        if (!(v = StripPrefix(key, "rate=")).empty()) {
-          if (!ParseDouble(v, &x) || x <= 0.0) {
-            return Fail(error, line_no, "nic rate must be > 0 (GB/s)");
-          }
-          spec.fabric_.nic_rate = x;
-        } else if (!(v = StripPrefix(key, "burst=")).empty()) {
-          if (!ParseDouble(v, &x) || x <= 0.0) {
-            return Fail(error, line_no, "nic burst must be > 0 (GB)");
-          }
-          spec.fabric_.nic_burst = x;
-        } else {
-          return Fail(error, line_no,
-                      "unknown nic key '" + key + "' (want rate=/burst=)");
-        }
+      if (!ParseKeys(kNicKeys, "nic", args, end, line_no, &spec.fabric_,
+                     error)) {
+        return false;
       }
-    } else if (tok == "deploy") {
+    } else if (head == "deploy") {
       DeploySpec d;
-      if (!ParseDeployLine(toks, line_no, &d, error)) return false;
+      if (!ParseDeployLine(&words, line_no, &d, error)) return false;
       spec.deploys_.push_back(std::move(d));
-    } else if (tok == "workload") {
+    } else if (head == "workload") {
       WorkloadSpec w;
-      if (!ParseWorkloadLine(toks, line_no, &w, error)) return false;
+      if (!ParseWorkloadLine(words, line_no, &w, error)) return false;
       spec.workloads_.push_back(w);
       workload_lines.push_back(line_no);
-    } else if (tok == "chaos") {
-      std::string rest;
-      std::getline(toks, rest);
+    } else if (head == "chaos") {
+      const std::string rest = line.substr(
+          static_cast<std::size_t>(head.data() + head.size() - line.data()));
       if (!chaos::ScenarioSpec::ParseEventLine(rest, line_no,
                                                &spec.chaos_, error)) {
         return false;
       }
       chaos_lines.push_back(line_no);
-    } else if (tok == "run") {
-      std::string kw;
-      std::string t;
-      TimeUs dur = 0;
-      if (!(toks >> kw >> t) || kw != "for" || !ParseTime(t, &dur)
-          || dur <= 0) {
+    } else if (head == "run") {
+      if (words.size() < 3 || words[1] != "for"
+          || !PositiveTime(std::string(words[2]), &spec.run_for_).empty()) {
         return Fail(error, line_no, "expected 'run for <time>'");
       }
-      std::string rest;
-      if (toks >> rest) {
-        return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-      }
-      spec.run_for_ = dur;
-    } else if (tok == "export") {
-      std::string prefix;
-      if (!(toks >> prefix)) {
+      if (!no_trailing(3)) return false;
+    } else if (head == "export") {
+      if (words.size() < 2) {
         return Fail(error, line_no, "export needs a path prefix");
       }
-      std::string rest;
-      if (toks >> rest) {
-        return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-      }
-      spec.export_prefix_ = prefix;
+      if (!no_trailing(2)) return false;
+      spec.export_prefix_ = std::string(words[1]);
     } else {
       return Fail(error, line_no,
-                  "unknown directive '" + tok
+                  "unknown directive '" + std::string(head)
                       + "' (want experiment/cluster/storage/nic/deploy/"
                         "workload/chaos/run/export)");
     }
@@ -871,6 +898,149 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
   spec.chaos_.set_name(spec.name_);
   if (out != nullptr) *out = std::move(spec);
   return true;
+}
+
+// --- parameter paths (sweep axes) ------------------------------------
+
+namespace {
+
+bool
+FailPath(std::string* error, const std::string& path,
+         const std::string& msg)
+{
+  if (error != nullptr) *error = path + ": " + msg;
+  return false;
+}
+
+/**
+ * Split "deploy[3].provision" into index 3 and key "provision", given
+ * that `path` starts with `head` + '['.
+ */
+bool
+SplitIndexed(const std::string& path, const std::string& head,
+             std::size_t limit, std::size_t* index, std::string* key,
+             std::string* error)
+{
+  const std::size_t open = head.size();
+  const std::size_t close = path.find(']', open);
+  if (close == std::string::npos || close + 1 >= path.size()
+      || path[close + 1] != '.') {
+    return FailPath(error, path, "want " + head + "[<index>].<key>");
+  }
+  std::int32_t i = 0;
+  if (!ParseInt(path.substr(open + 1, close - open - 1), &i) || i < 0) {
+    return FailPath(error, path, "index must be a non-negative int");
+  }
+  if (static_cast<std::size_t>(i) >= limit) {
+    return FailPath(error, path,
+                    "index " + std::to_string(i)
+                        + " out of range (base has "
+                        + std::to_string(limit) + ")");
+  }
+  *index = static_cast<std::size_t>(i);
+  *key = path.substr(close + 2);
+  return true;
+}
+
+/** Set `section.key` through its table entry, as the loader would. */
+template <typename S, std::size_t N>
+bool
+ApplyKey(const SpecKey<S> (&keys)[N], const char* section,
+         const std::string& path, const std::string& key,
+         const std::string& value, S* s, std::string* error)
+{
+  const SpecKey<S>* k = FindKey(keys, key);
+  std::string why;
+  if (k == nullptr) {
+    why = std::string("unknown ") + section + " key '" + key + "'";
+  } else if ((k->flags & kReserved) != 0) {
+    why = "is reserved: the sweep's seed axis owns per-run seeding, and "
+          "a function's identity is not a policy knob";
+  } else if (SetKey(*k, s, value, &why)) {
+    return true;
+  }
+  return FailPath(error, path, why);
+}
+
+/**
+ * Scale the embedded scenario's load-pressure magnitudes. Additive
+ * magnitudes (surge extra-RPS) scale linearly; multiplicative factors
+ * f > 1 (overload, cold-start inflation, storage brownout) scale in
+ * excess-over-one so intensity 1 is the identity and any intensity > 0
+ * keeps the factor on the valid side of 1. Targeted faults, throttles
+ * and checkpoint policies are left alone — intensity means "how hard
+ * does the pressure push", not "which faults fire".
+ */
+bool
+ApplyChaosIntensity(ExperimentSpec* spec, const std::string& path,
+                    const std::string& value, std::string* error)
+{
+  double intensity = 0.0;
+  const std::string why = PositiveDouble(value, &intensity);
+  if (!why.empty()) return FailPath(error, path, why);
+  chaos::ScenarioSpec scaled(spec->chaos().name());
+  for (chaos::ScenarioEvent e : spec->chaos().events()) {
+    switch (e.kind) {
+      case chaos::FaultKind::kTrafficSurge:
+        e.magnitude *= intensity;
+        break;
+      case chaos::FaultKind::kOverload:
+      case chaos::FaultKind::kColdStartInflation:
+      case chaos::FaultKind::kStorageBrownout:
+        e.magnitude = 1.0 + (e.magnitude - 1.0) * intensity;
+        break;
+      default:
+        break;
+    }
+    scaled.Add(e);
+  }
+  spec->chaos() = std::move(scaled);
+  return true;
+}
+
+}  // namespace
+
+bool
+ApplyParam(ExperimentSpec* spec, const std::string& path,
+           const std::string& value, std::string* error)
+{
+  std::size_t index = 0;
+  std::string key;
+  if (path.compare(0, 8, "cluster.") == 0) {
+    return ApplyKey(kClusterKeys, "cluster", path, path.substr(8), value,
+                    &spec->cluster(), error);
+  }
+  if (path.compare(0, 7, "deploy[") == 0) {
+    return SplitIndexed(path, "deploy", spec->deploys().size(), &index,
+                        &key, error)
+           && ApplyKey(kDeployKeys, "deploy", path, key, value,
+                       &spec->deploys()[index], error);
+  }
+  if (path.compare(0, 9, "workload[") == 0) {
+    if (!SplitIndexed(path, "workload", spec->workloads().size(), &index,
+                      &key, error)) {
+      return false;
+    }
+    WorkloadSpec& w = spec->workloads()[index];
+    if (key == "duration") {  // the `for` window
+      const std::string why = PositiveTime(value, &w.duration);
+      return why.empty() || FailPath(error, path, why);
+    }
+    return ApplyKey(kWorkloadKeys, "workload", path, key, value, &w, error);
+  }
+  if (path == "chaos.intensity") {
+    return ApplyChaosIntensity(spec, path, value, error);
+  }
+  if (path == "run.for") {
+    TimeUs t = 0;
+    const std::string why = PositiveTime(value, &t);
+    if (why.empty()) spec->RunFor(t);
+    return why.empty() || FailPath(error, path, why);
+  }
+  return FailPath(error, path,
+                  "unknown parameter path (want cluster.<key>, "
+                  "deploy[i].<key>, workload[i].<key>, "
+                  "chaos.intensity or run.for)");
 }
 
 }  // namespace dilu::experiment

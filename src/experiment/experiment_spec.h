@@ -215,6 +215,37 @@ class ExperimentSpec {
   std::string export_prefix_;
 };
 
+/**
+ * Set the knob `path` of `*spec` to `value`, for a sweep axis. Every
+ * key goes through the same table entry the text loader uses (the
+ * SpecKey tables in experiment_spec.cc), so a sweep cell can never
+ * construct a spec the loader would have rejected, and an error reads
+ * like the loader's with `<path>: ` in place of `line N: `. On failure
+ * returns false and leaves that message in `*error` (when non-null);
+ * `*spec` is unchanged on failure. The path grammar is documented in
+ * docs/SWEEP.md:
+ *
+ *   cluster.<key>      a `cluster` line key
+ *   deploy[i].<key>    a `deploy` line key, where deploy i's task type
+ *                      takes it
+ *   workload[i].<key>  a `workload` line key, where workload i's
+ *                      arrival kind takes it, plus `duration` for the
+ *                      `for` window
+ *   chaos.intensity    scales the scenario: surge extra-RPS is
+ *                      multiplied by the factor, and overload /
+ *                      cold-start-inflation / storage-brownout factors
+ *                      f become 1 + (f - 1) * intensity, so 1 replays
+ *                      the scenario as written and 0 < i < 1 softens it
+ *   run.for            the simulation horizon
+ *
+ * Reserved: `cluster.seed` and `workload[i].seed` (the sweep's seed
+ * axis owns per-run seeding) and `deploy[i].model` / `deploy[i].name`
+ * (changing the function identity mid-sweep would compare different
+ * workloads, not policies).
+ */
+bool ApplyParam(ExperimentSpec* spec, const std::string& path,
+                const std::string& value, std::string* error);
+
 }  // namespace dilu::experiment
 
 #endif  // DILU_EXPERIMENT_EXPERIMENT_SPEC_H_

@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "common/spec_text.h"
+#include "experiment/experiment_spec.h"
 #include "experiment/sharded_experiment.h"
-#include "experiment/spec_params.h"
 
 namespace dilu::sweep {
 

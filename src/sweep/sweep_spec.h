@@ -4,7 +4,7 @@
  *
  * A SweepSpec names a base experiment (an `.exp` gallery file), a seed
  * repetition count and a grid of axes — parameter paths into the base
- * spec (see experiment/spec_params.h) with the values each should take
+ * spec (see experiment/experiment_spec.h) with the values each should take
  * — plus `require` threshold clauses that turn the aggregated report
  * into a pass/fail verdict. Like the chaos and experiment specs it is
  * pure data with two faces, a fluent C++ builder and a line-oriented

@@ -234,6 +234,8 @@ TEST(Scenario, ParseRejectsMalformedLines)
       "at 10s checkpoint_every fn=0 every=0s",  // non-positive interval
       "at 99999999999999s fail_gpu 0",  // unit scaling would overflow
       "at 10s surge fn=0 rps=10 for 99999999999999s",
+      "at 10s degrade_gpu 0 xnan",   // NaN passes every range check
+      "at 10s surge fn=0 rps=inf for 5s",  // non-finite rate
   };
   for (const char* text : bad) {
     std::string error;

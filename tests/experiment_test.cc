@@ -94,6 +94,16 @@ TEST(ExperimentSpecText, RoundTripIsByteIdentical)
   EXPECT_EQ(parsed.export_prefix(), "/tmp/dilu_exp_roundtrip");
   ASSERT_TRUE(parsed.cluster().recovery.has_value());
   EXPECT_EQ(*parsed.cluster().recovery, "greedy");
+
+  // Doubles %g would round (6 significant digits) read back exactly.
+  ExperimentSpec precise = FullSpec();
+  precise.workloads()[0].rps = 12.3456789;
+  precise.workloads()[2].scale = 0.1 + 0.2;
+  ASSERT_TRUE(ExperimentSpec::Parse(precise.ToText(), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.workloads()[0].rps, 12.3456789);
+  EXPECT_EQ(parsed.workloads()[2].scale, 0.1 + 0.2);
+  EXPECT_EQ(parsed.ToText(), precise.ToText());
 }
 
 TEST(ExperimentSpecText, AcceptsCommentsAndBlankLines)
@@ -159,6 +169,17 @@ TEST(ExperimentSpecText, RejectsBadLinesWithLineNumbers)
       "deploy model=bert-base training queue_cap=8",     // training deploy
       "deploy model=bert-base training retries=1",       // training deploy
       "deploy model=bert-base training backoff=1s",      // training deploy
+      // A key of the other task type is an error even at its default.
+      "deploy model=vgg19 training provision=0",
+      "deploy model=vgg19 training shards=1",
+      "deploy model=bert-base workers=1",
+      "deploy model=bert-base iterations=0",
+      "deploy model=bert-base start=0s",
+      // NaN passes every range check and infinity is no rate.
+      "deploy model=bert-base\nworkload fn=0 poisson rps=nan for 5s",
+      "storage gc=nan",
+      "deploy model=bert-base\nworkload fn=0 periodic rps=inf "
+      "amplitude=nan for 5s",
       // New chaos verbs cross-validate their fn reference.
       "deploy model=bert-base\nchaos at 5s overload fn=3 x4 for 2s",
       "deploy model=bert-base training\n"

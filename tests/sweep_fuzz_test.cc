@@ -6,6 +6,8 @@
  * threshold flavors) must round-trip parse -> print -> parse
  * byte-identically, and randomly mutated sweeps must fail with a
  * line-numbered error — never crash, never be silently mis-parsed.
+ * Random (path, value) pairs over every spec key check ApplyParam's
+ * contract against the experiment loader.
  *
  * Everything draws from a fixed-seed Rng, so a failure reproduces
  * exactly; crank kRounds locally for a longer soak.
@@ -16,12 +18,15 @@
 #include <vector>
 
 #include "common/random.h"
+#include "experiment/experiment_spec.h"
 #include "sweep/sweep_report.h"
 #include "sweep/sweep_spec.h"
 
 namespace dilu {
 namespace {
 
+using experiment::ApplyParam;
+using experiment::ExperimentSpec;
 using sweep::SweepSpec;
 using sweep::ThresholdOp;
 
@@ -189,6 +194,163 @@ TEST(SweepFuzz, TargetedCorruptionsAlwaysError)
     std::string error;
     EXPECT_FALSE(SweepSpec::Parse(text, nullptr, &error)) << text;
     EXPECT_NE(error.find("line "), std::string::npos) << error;
+  }
+}
+
+// --- ApplyParam against the experiment loader -----------------------
+
+/**
+ * A base with one deploy of each task type and a workload of every
+ * arrival kind. Lines 1-3 are deploy[0..2], lines 4-10 workload[0..6].
+ */
+const std::vector<std::string> kParamBase = {
+    "experiment params",
+    "deploy model=bert-base provision=1",
+    "deploy model=vgg19 training workers=2",
+    "deploy model=resnet152",
+    "workload fn=0 poisson rps=20 for 30s",
+    "workload fn=0 gamma rps=5 cv=2 for 30s",
+    "workload fn=0 bursty rps=5 for 30s",
+    "workload fn=0 periodic rps=5 for 30s",
+    "workload fn=0 sporadic rps=5 for 30s",
+    "workload fn=2 closed clients=2 think=50ms for 30s",
+    "workload fn=0 constant rps=5 for 30s",
+};
+
+std::string
+Join(const std::vector<std::string>& lines)
+{
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+TEST(SweepFuzz, ApplyParamMatchesTheLoaderOnEveryKey)
+{
+  // Values of each key type, valid and invalid; a fifth of the draws
+  // take a value of any type.
+  const std::vector<std::string> kInts = {"0", "1", "3", "-1",
+                                          "2147483648"};
+  const std::vector<std::string> kReals = {"0.5", "1.5", "12.3456789",
+                                           "0",   "-2",  "nan", "inf"};
+  const std::vector<std::string> kTimes = {"10s", "250ms", "1500us",
+                                           "0s",  "-1s",   "10"};
+  const std::vector<std::string> kWords = {
+      "on",    "off",      "dilu",  "greedy", "static",
+      "eager", "exclusive", "infless-r", "critical", "best_effort",
+      "vgg19", "fn-a",     "maybe", ""};
+  const std::vector<const std::vector<std::string>*> kAnyType = {
+      &kInts, &kReals, &kTimes, &kWords};
+  struct KeyCase {
+    const char* key;
+    const std::vector<std::string>* values;
+  };
+  const std::vector<KeyCase> kClusterKeys = {
+      {"nodes", &kInts},     {"gpus_per_node", &kInts},
+      {"preset", &kWords},   {"scheduler", &kWords},
+      {"sharing", &kWords},  {"quota_mode", &kWords},
+      {"recovery", &kWords}, {"warm_starts", &kWords},
+      {"rc", &kWords},       {"wa", &kWords},
+      {"seed", &kInts}};
+  const std::vector<KeyCase> kDeployKeys = {
+      {"model", &kWords},     {"name", &kWords},
+      {"workers", &kInts},    {"iterations", &kInts},
+      {"checkpoint_every", &kTimes},
+      {"save_cost", &kTimes}, {"start", &kTimes},
+      {"shards", &kInts},     {"provision", &kInts},
+      {"scaler", &kWords},    {"class", &kWords},
+      {"queue_cap", &kInts},  {"retries", &kInts},
+      {"backoff", &kTimes},   {"deadline", &kTimes}};
+  const std::vector<KeyCase> kWorkloadKeys = {
+      {"rps", &kReals},       {"cv", &kReals},
+      {"scale", &kReals},     {"len", &kTimes},
+      {"gap", &kTimes},       {"amplitude", &kReals},
+      {"period", &kTimes},    {"active", &kReals},
+      {"spike", &kTimes},     {"clients", &kInts},
+      {"think", &kTimes},     {"seed", &kInts},
+      {"start", &kTimes},     {"warmup", &kTimes},
+      {"duration", &kTimes}};
+  const auto pick = [](Rng& rng, const auto& items) {
+    return items[static_cast<std::size_t>(rng.UniformInt(
+        0, static_cast<std::int64_t>(items.size()) - 1))];
+  };
+
+  ExperimentSpec base;
+  std::string error;
+  ASSERT_TRUE(ExperimentSpec::Parse(Join(kParamBase), &base, &error))
+      << error;
+  const std::string base_text = base.ToText();
+
+  Rng rng(0x53EE44u);
+  for (int round = 0; round < 8 * kRounds; ++round) {
+    std::vector<std::string> lines = kParamBase;
+    const auto section = rng.UniformInt(0, 2);
+    const KeyCase& c = pick(rng, section == 0   ? kClusterKeys
+                                 : section == 1 ? kDeployKeys
+                                                : kWorkloadKeys);
+    const std::string key = c.key;
+    const std::string value =
+        pick(rng, rng.UniformInt(0, 4) == 0 ? *pick(rng, kAnyType)
+                                            : *c.values);
+    std::string path;
+    switch (section) {
+      case 0:
+        path = "cluster." + key;
+        lines.push_back("cluster " + key + "=" + value);
+        break;
+      case 1: {
+        const auto i = rng.UniformInt(0, 2);
+        path = "deploy[" + std::to_string(i) + "]." + key;
+        lines[static_cast<std::size_t>(1 + i)] += " " + key + "=" + value;
+        break;
+      }
+      default: {
+        const auto i = rng.UniformInt(0, 6);
+        path = "workload[" + std::to_string(i) + "]." + key;
+        std::string& line = lines[static_cast<std::size_t>(4 + i)];
+        const std::size_t at = line.find(" for ");
+        line = key == "duration"
+                   ? line.substr(0, at) + " for " + value
+                   : line.substr(0, at) + " " + key + "=" + value
+                         + line.substr(at);
+        break;
+      }
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "round " << round << ": " << path << " = '" << value
+                 << "'");
+
+    ExperimentSpec spec = base;
+    std::string apply_error;
+    const bool applied = ApplyParam(&spec, path, value, &apply_error);
+    if (applied) {
+      // A successful apply leaves a spec the loader takes as a fixed
+      // point of print -> parse -> print.
+      const std::string text = spec.ToText();
+      ExperimentSpec reparsed;
+      ASSERT_TRUE(ExperimentSpec::Parse(text, &reparsed, &error))
+          << error << "\n" << text;
+      EXPECT_EQ(reparsed.ToText(), text);
+    } else {
+      EXPECT_EQ(spec.ToText(), base_text) << "failed apply changed spec";
+      EXPECT_EQ(apply_error.rfind(path + ": ", 0), 0u) << apply_error;
+    }
+
+    // Seeds and the function identity are reserved for the sweep.
+    if (key == "seed" || key == "model" || key == "name") {
+      EXPECT_FALSE(applied);
+      continue;
+    }
+    std::string load_error;
+    const bool loaded =
+        ExperimentSpec::Parse(Join(lines), nullptr, &load_error);
+    EXPECT_EQ(applied, loaded) << "ApplyParam: " << apply_error
+                               << "\nloader: " << load_error;
+    if (!applied && !loaded && key != "duration") {
+      // Same entry, same message; only the prefix differs.
+      EXPECT_EQ(apply_error.substr(path.size() + 2),
+                load_error.substr(load_error.find(": ") + 2));
+    }
   }
 }
 

@@ -26,7 +26,6 @@
 #include "experiment/experiment.h"
 #include "experiment/experiment_spec.h"
 #include "experiment/gallery.h"
-#include "experiment/spec_params.h"
 #include "sweep/sweep_runner.h"
 
 namespace dilu {
@@ -140,6 +139,7 @@ TEST(SweepSpec, ParseRejectsMalformedSpecsWithLineNumbers)
       {"sweep s\nbase q\nrequire warp <= 5\n", "unknown metric"},
       {"sweep s\nbase q\nrequire p99_ms <= 1.2x\n", "x baseline"},
       {"sweep s\nbase q\nrequire shed <= -1\n", "bound >= 0"},
+      {"sweep s\nbase q\nrequire svr <= nan\n", "bound >= 0"},
       {"sweep s\nbase q\nrequire shed <= 5 junk\n", "trailing"},
       {"sweep s extra\n", "trailing"},
       {"sweep s\nbase q\nexplode\n", "unknown directive"},
@@ -225,6 +225,7 @@ TEST(SpecParams, WorkloadPathsRespectArrivalKindApplicability)
   EXPECT_FALSE(ApplyParam(&spec, "workload[0].cv", "2", &error));
   EXPECT_NE(error.find("does not apply"), std::string::npos) << error;
   EXPECT_FALSE(ApplyParam(&spec, "workload[0].rps", "-1", &error));
+  EXPECT_FALSE(ApplyParam(&spec, "workload[0].rps", "nan", &error));
   EXPECT_FALSE(ApplyParam(&spec, "workload[1].rps", "5", &error));
   EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 }
