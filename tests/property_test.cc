@@ -17,9 +17,12 @@
 namespace dilu {
 namespace {
 
-/** Invariant: arbiter grants never exceed device capacity. */
+/** Invariant: arbiter grants never exceed device capacity.
+ *  Presets are std::string, not const char*: inside a tuple gtest prints a
+ *  char pointer with its address, which would put a per-run address into
+ *  the test name. */
 class CapacityInvariantTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(CapacityInvariantTest, GrantsSumWithinCapacity)
 {
@@ -149,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(AllModels, SloMonotoneTest,
  *  latency is non-negative, across presets and load levels (no request
  *  is lost or double-counted through scaling/termination paths). */
 class ConservationTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ConservationTest, RequestsConserved)
 {
@@ -157,7 +160,7 @@ TEST_P(ConservationTest, RequestsConserved)
   core::System system(core::SystemConfig::Preset(preset));
   const FunctionId fn = system.DeployInference("bert-base");
   system.Provision(fn, 2);
-  if (std::string(preset) == "dilu") system.EnableCoScaling(fn);
+  if (preset == "dilu") system.EnableCoScaling(fn);
   system.DrivePoisson(fn, rps, Sec(20));
   // Count completions independently of the metrics hub.
   std::int64_t completions = 0;
