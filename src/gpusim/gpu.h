@@ -15,6 +15,7 @@
 #ifndef DILU_GPUSIM_GPU_H_
 #define DILU_GPUSIM_GPU_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,6 +69,12 @@ class GpuClient {
    * non-SLO-sensitive clients may return 0.
    */
   virtual double KlcInflation() const;
+
+ private:
+  friend class GpuGroup;
+
+  /** The last GpuGroup tick that queued this client's FinishQuantum. */
+  std::uint64_t finish_epoch_ = 0;
 };
 
 /** One instance's attachment to one GPU. */
@@ -138,9 +145,6 @@ class Gpu {
 
   /** Record the post-arbitration utilization for this quantum. */
   void RecordQuantum(TimeUs now);
-
-  /** Time-weighted average compute utilization since attach. */
-  double AverageUtilization(TimeUs now) const;
 
   /**
    * Integral of granted share over time (share-microseconds),

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "gpusim/gpu.h"
 #include "gpusim/gpu_group.h"
@@ -161,7 +163,8 @@ TEST(GpuGroup, TickDeliversGrantsAndAdvancesClientsOnce)
   // One client spanning two GPUs (pipeline shards).
   group.Attach(g0, MakeAttachment(&multi, 0.5, 4.0, 0, /*slot=*/0));
   group.Attach(g1, MakeAttachment(&multi, 0.5, 4.0, 0, /*slot=*/1));
-  group.TickOnce();
+  group.Start();
+  sim.RunFor(group.quantum());
   EXPECT_DOUBLE_EQ(multi.grant(0), 0.25);
   EXPECT_DOUBLE_EQ(multi.grant(1), 0.25);
   EXPECT_EQ(multi.quanta(), 1);  // FinishQuantum once despite two shards
@@ -195,6 +198,134 @@ TEST(GpuGroup, PeriodicTickRunsOnSimulation)
   group.Start();
   sim.RunUntil(Ms(50));
   EXPECT_EQ(c.quanta(), 10);  // 50 ms / 5 ms
+}
+
+TEST(GpuGroup, TickWorkIsProportionalToActiveGpus)
+{
+  sim::Simulation sim;
+  GpuGroup group(&sim, [](GpuId) {
+    return std::make_unique<StaticArbiter>();
+  });
+  for (int g = 0; g < 10000; ++g) group.AddGpu(40.0);
+  FakeClient a(1, 0.5);
+  FakeClient b(2, 0.25);
+  group.Attach(9001, MakeAttachment(&a, 1.0));
+  group.Attach(17, MakeAttachment(&b, 1.0));
+  EXPECT_EQ(group.active_gpus(), (std::vector<GpuId>{17, 9001}));
+  group.Start();
+
+  constexpr std::int64_t kQuanta = 100;
+  sim.RunFor(group.quantum() * kQuanta);
+  // Two GPU-quanta per quantum, not 10,000.
+  EXPECT_EQ(group.gpu_quanta_ticked(), 2 * kQuanta);
+  EXPECT_EQ(a.quanta(), kQuanta);
+  EXPECT_EQ(b.quanta(), kQuanta);
+
+  // The detached GPU gets one closing quantum, which records 0, and is
+  // never visited again; its utilization integral stops growing.
+  group.DetachEverywhere(1);
+  sim.RunFor(group.quantum() * kQuanta);
+  EXPECT_EQ(group.gpu_quanta_ticked(), 3 * kQuanta + 1);
+  EXPECT_EQ(group.active_gpus(), (std::vector<GpuId>{17}));
+  EXPECT_EQ(group.gpu(9001).used_share(), 0.0);
+  EXPECT_EQ(group.gpu(9001).UtilizationIntegral(sim.now()),
+            0.5 * static_cast<double>(group.quantum() * kQuanta));
+  EXPECT_EQ(a.quanta(), kQuanta);
+  EXPECT_EQ(b.quanta(), 2 * kQuanta);
+
+  // An idle fleet ticks nothing at all.
+  group.DetachEverywhere(2);
+  sim.RunFor(group.quantum() * kQuanta);
+  EXPECT_EQ(group.gpu_quanta_ticked(), 3 * kQuanta + 2);
+  EXPECT_TRUE(group.active_gpus().empty());
+}
+
+/** Attaches a second client to another GPU from its first quantum. */
+class AttachingClient : public FakeClient {
+ public:
+  AttachingClient(InstanceId id, GpuGroup* group, GpuId target,
+                  FakeClient* newcomer)
+      : FakeClient(id), group_(group), target_(target),
+        newcomer_(newcomer) {}
+
+  void FinishQuantum(TimeUs quantum) override
+  {
+    FakeClient::FinishQuantum(quantum);
+    if (quanta() == 1) {
+      group_->Attach(target_, MakeAttachment(newcomer_, 1.0));
+    }
+  }
+
+ private:
+  GpuGroup* group_;
+  GpuId target_;
+  FakeClient* newcomer_;
+};
+
+TEST(GpuGroup, AttachDuringTickJoinsFromTheNextQuantum)
+{
+  sim::Simulation sim;
+  GpuGroup group(&sim, [](GpuId) {
+    return std::make_unique<StaticArbiter>();
+  });
+  for (int g = 0; g < 8; ++g) group.AddGpu(40.0);
+  FakeClient newcomer(2, 0.5);
+  AttachingClient parent(1, &group, /*target=*/2, &newcomer);
+  group.Attach(5, MakeAttachment(&parent, 1.0));
+  group.Start();
+
+  sim.RunFor(group.quantum());
+  EXPECT_EQ(parent.quanta(), 1);
+  EXPECT_EQ(newcomer.quanta(), 0);  // attached after phase 4 collected
+  EXPECT_EQ(group.gpu_quanta_ticked(), 1);
+  EXPECT_EQ(group.active_gpus(), (std::vector<GpuId>{2, 5}));
+
+  sim.RunFor(group.quantum());
+  EXPECT_EQ(parent.quanta(), 2);
+  EXPECT_EQ(newcomer.quanta(), 1);
+  EXPECT_DOUBLE_EQ(newcomer.grant(), 0.5);
+  EXPECT_EQ(group.gpu_quanta_ticked(), 3);
+}
+
+/** Logs the order in which clients finish each quantum. */
+class OrderedClient : public FakeClient {
+ public:
+  OrderedClient(InstanceId id, std::vector<InstanceId>* log)
+      : FakeClient(id), log_(log) {}
+
+  void FinishQuantum(TimeUs quantum) override
+  {
+    FakeClient::FinishQuantum(quantum);
+    log_->push_back(client_id());
+  }
+
+ private:
+  std::vector<InstanceId>* log_;
+};
+
+TEST(GpuGroup, ClientSpanningTwoGpusFinishesOncePerQuantum)
+{
+  sim::Simulation sim;
+  GpuGroup group(&sim, [](GpuId) {
+    return std::make_unique<StaticArbiter>();
+  });
+  for (int g = 0; g < 4; ++g) group.AddGpu(40.0);
+  std::vector<InstanceId> log;
+  OrderedClient spanning(7, &log);
+  OrderedClient single(3, &log);
+  // Attach out of id order: the tick still walks GPUs 0, 1, 3.
+  group.Attach(3, MakeAttachment(&spanning, 0.5, 4.0, 0, /*slot=*/1));
+  group.Attach(1, MakeAttachment(&single, 0.5));
+  group.Attach(0, MakeAttachment(&spanning, 0.5, 4.0, 0, /*slot=*/0));
+  group.Start();
+
+  sim.RunFor(group.quantum() * 3);
+  EXPECT_EQ(spanning.quanta(), 3);
+  EXPECT_EQ(single.quanta(), 3);
+  // First appearance in GPU-id order: the spanning client (GPU 0)
+  // finishes before the single one (GPU 1), every quantum.
+  EXPECT_EQ(log, (std::vector<InstanceId>{7, 3, 7, 3, 7, 3}));
+  EXPECT_EQ(group.gpu_quanta_ticked(), 9);
 }
 
 TEST(Gpu, UtilizationRecording)
