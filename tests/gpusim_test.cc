@@ -245,7 +245,9 @@ class AttachingClient : public FakeClient {
  public:
   AttachingClient(InstanceId id, GpuGroup* group, GpuId target,
                   FakeClient* newcomer)
-      : FakeClient(id), group_(group), target_(target),
+      : FakeClient(id),
+        group_(group),
+        target_(target),
         newcomer_(newcomer) {}
 
   void FinishQuantum(TimeUs quantum) override
