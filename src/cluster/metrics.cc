@@ -26,9 +26,7 @@ MetricsHub::RegisterFunction(FunctionId id, const std::string& name,
 void
 MetricsHub::RecordRequest(FunctionId id, const workload::Request& req)
 {
-  auto it = functions_.find(id);
-  DILU_CHECK(it != functions_.end());
-  FunctionMetrics& m = it->second;
+  FunctionMetrics& m = function(id);
   if (req.arrival < m.warmup_until) return;  // warmup traffic
   const double latency_ms = ToMs(req.Latency());
   m.latency_ms.Add(latency_ms);
@@ -49,19 +47,19 @@ FunctionMetrics::AvailabilityPercent() const
 void
 MetricsHub::RecordColdStart(FunctionId id)
 {
-  ++functions_[id].cold_starts;
+  ++function(id).cold_starts;
 }
 
 void
 MetricsHub::RecordRecoveryColdStart(FunctionId id)
 {
-  ++functions_[id].recovery_cold_starts;
+  ++function(id).recovery_cold_starts;
 }
 
 void
 MetricsHub::RecordDrop(FunctionId id, TimeUs arrival)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = function(id);
   if (arrival < m.warmup_until) return;  // warmup traffic
   ++m.dropped;
 }
@@ -69,13 +67,13 @@ MetricsHub::RecordDrop(FunctionId id, TimeUs arrival)
 void
 MetricsHub::SetServiceClass(FunctionId id, ServiceClass c)
 {
-  functions_[id].service_class = c;
+  function(id).service_class = c;
 }
 
 void
 MetricsHub::RecordAdmit(FunctionId id, TimeUs arrival)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = function(id);
   if (arrival < m.warmup_until) return;  // warmup traffic
   ++m.admitted;
 }
@@ -83,7 +81,7 @@ MetricsHub::RecordAdmit(FunctionId id, TimeUs arrival)
 void
 MetricsHub::RecordShedAdmission(FunctionId id, TimeUs arrival)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = function(id);
   if (arrival < m.warmup_until) return;  // warmup traffic
   ++m.shed_admission;
 }
@@ -91,7 +89,7 @@ MetricsHub::RecordShedAdmission(FunctionId id, TimeUs arrival)
 void
 MetricsHub::RecordShedRetry(FunctionId id, TimeUs arrival)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = function(id);
   if (arrival < m.warmup_until) return;  // warmup traffic
   ++m.shed_retry;
 }
@@ -100,7 +98,7 @@ void
 MetricsHub::RecordTrainingRestart(FunctionId id,
                                   std::int64_t lost_iterations)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = function(id);
   ++m.training_restarts;
   m.lost_iterations += lost_iterations;
 }
@@ -108,7 +106,7 @@ MetricsHub::RecordTrainingRestart(FunctionId id,
 void
 MetricsHub::RecordCheckpoint(FunctionId id, TimeUs pause)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = function(id);
   ++m.checkpoints;
   m.checkpoint_pause += pause;
 }
@@ -116,7 +114,7 @@ MetricsHub::RecordCheckpoint(FunctionId id, TimeUs pause)
 void
 MetricsHub::SetWarmupUntil(FunctionId id, TimeUs until)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = function(id);
   m.warmup_until = std::max(m.warmup_until, until);
 }
 

@@ -96,7 +96,11 @@ struct FaultRecord {
 /** Collects metrics across the whole simulated cluster. */
 class MetricsHub {
  public:
-  /** Declare a function (idempotent). */
+  /**
+   * Declare a function (idempotent). Every Record* and Set* call below
+   * needs its id registered first; an unregistered id panics, like
+   * function(id).
+   */
   void RegisterFunction(FunctionId id, const std::string& name,
                         double slo_ms);
 

@@ -12,10 +12,13 @@ KlcMonitor::Record(int bucket, TimeUs klc)
   current_bucket_ = bucket;
   auto it = min_by_bucket_.find(bucket);
   if (it == min_by_bucket_.end()) {
-    min_by_bucket_[bucket] = klc;
+    it = min_by_bucket_.emplace(bucket, klc).first;
   } else {
     it->second = std::min(it->second, klc);
   }
+  const TimeUs t_min = it->second;
+  inflation_ =
+      static_cast<double>(current_ - t_min) / static_cast<double>(t_min);
 }
 
 TimeUs
@@ -25,20 +28,13 @@ KlcMonitor::minimum() const
   return it == min_by_bucket_.end() ? 0 : it->second;
 }
 
-double
-KlcMonitor::Inflation() const
-{
-  const TimeUs t_min = minimum();
-  if (t_min <= 0 || current_ <= 0) return 0.0;
-  return static_cast<double>(current_ - t_min) / static_cast<double>(t_min);
-}
-
 void
 KlcMonitor::Reset()
 {
   min_by_bucket_.clear();
   current_ = 0;
   current_bucket_ = -1;
+  inflation_ = 0.0;
 }
 
 }  // namespace dilu::rckm

@@ -34,8 +34,9 @@ class KlcMonitor {
   /**
    * Relative inflation of the most recent iteration versus the bucket
    * minimum: (T_cur - T_min) / T_min. Returns 0 before any data.
+   * Read every token period, so it is kept up to date by Record/Reset.
    */
-  double Inflation() const;
+  double Inflation() const { return inflation_; }
 
   /** Most recent iteration duration (0 before any data). */
   TimeUs current() const { return current_; }
@@ -50,6 +51,7 @@ class KlcMonitor {
   std::map<int, TimeUs> min_by_bucket_;
   TimeUs current_ = 0;
   int current_bucket_ = -1;
+  double inflation_ = 0.0;
 };
 
 }  // namespace dilu::rckm

@@ -42,8 +42,20 @@ TokenManager::EnsureSlot(InstanceId id)
     slots_.emplace_back();
   }
   slots_[static_cast<std::size_t>(slot)] = PerInstance{};
+  slots_[static_cast<std::size_t>(slot)].id = id;
   slot_of_.emplace(id, slot);
   return slot;
+}
+
+int
+TokenManager::SampleSlot(std::size_t i, InstanceId id)
+{
+  int& cached = sample_slots_[i];
+  if (cached < 0 || id == kInvalidInstance
+      || slots_[static_cast<std::size_t>(cached)].id != id) {
+    cached = EnsureSlot(id);
+  }
+  return cached;
 }
 
 const std::vector<TokenGrant>&
@@ -56,19 +68,20 @@ TokenManager::Tick(const std::vector<InstanceSample>& samples)
   // (Algorithm 2 line 11). The window only ever answers "was anything
   // launched?", so one bit per period suffices; busy_instances_ tracks
   // mask transitions to keep the co-runner-idle test O(1).
-  grants_.clear();
+  // Every grant is overwritten below (each sample is SLO-sensitive or
+  // not), so resizing is enough; the same for kept sample slots, which
+  // SampleSlot validates against the sample's id.
   grants_.resize(samples.size());
-  sample_slots_.clear();
-  for (const InstanceSample& s : samples) {
-    const int slot = EnsureSlot(s.id);
-    PerInstance& st = slots_[static_cast<std::size_t>(slot)];
+  sample_slots_.resize(samples.size(), -1);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const InstanceSample& s = samples[i];
+    PerInstance& st = slots_[static_cast<std::size_t>(SampleSlot(i, s.id))];
     const bool was_busy = st.window_mask != 0;
     st.window_mask = ((st.window_mask << 1)
                       | (s.blocks_launched != 0.0 ? 1u : 0u))
         & window_mask_all;
     const bool is_busy = st.window_mask != 0;
     busy_instances_ += (is_busy ? 1 : 0) - (was_busy ? 1 : 0);
-    sample_slots_.push_back(slot);
   }
 
   // Pass 1: SLO-sensitive instances drive the global state. Each branch

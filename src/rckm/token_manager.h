@@ -18,8 +18,10 @@
  * steady state — per-instance records live in index-stable slots
  * (reused via a free list), the rate windows are fixed-size bit rings
  * (one bit per period: "launched anything"), and the grant list is a
- * reused vector aligned with the input samples. Heap traffic occurs
- * only when an instance is first seen.
+ * reused vector aligned with the input samples. The slot of each sample
+ * index is remembered across ticks, so the id -> slot hash lookup runs
+ * only when the attachment list changes. Heap traffic occurs only when
+ * an instance is first seen.
  */
 #ifndef DILU_RCKM_TOKEN_MANAGER_H_
 #define DILU_RCKM_TOKEN_MANAGER_H_
@@ -124,6 +126,8 @@ class TokenManager {
 
  private:
   struct PerInstance {
+    /** Owner of the slot; kInvalidInstance while the slot is free. */
+    InstanceId id = kInvalidInstance;
     /** Bit i set = launched kernels i periods ago (bit ring, newest in
      *  bit 0, masked to config_.rate_window bits). */
     std::uint64_t window_mask = 0;
@@ -136,6 +140,10 @@ class TokenManager {
 
   /** Slot for `id`, allocating (free list first) on first sight. */
   int EnsureSlot(InstanceId id);
+
+  /** Slot for samples[i]: the cached sample_slots_[i] if its slot still
+   *  belongs to `id`, else EnsureSlot (and the cache is updated). */
+  int SampleSlot(std::size_t i, InstanceId id);
 
   /** True when the instance launched nothing across its window. */
   static bool WindowIdle(const PerInstance& s) { return s.window_mask == 0; }
@@ -157,8 +165,11 @@ class TokenManager {
   /** Count of tracked instances with a non-idle window (maintained on
    *  every mask transition so OthersIdle is O(1)). */
   int busy_instances_ = 0;
-  /** Per-Tick scratch (reused; steady state: no allocation). */
-  std::vector<int> sample_slots_;  ///< slot per sample, index-aligned
+  /** Slot per sample, index-aligned and kept across ticks: a GPU sees
+   *  the same instances in the same order every quantum, so an entry
+   *  whose slot still holds the sample's id skips the hash lookup. */
+  std::vector<int> sample_slots_;
+  /** Grant list returned by Tick (reused; steady state: no allocation). */
   std::vector<TokenGrant> grants_;
   double total_issued_ = 0.0;
 };

@@ -6,6 +6,21 @@
 #include "models/cost_model.h"
 
 namespace dilu::runtime {
+namespace {
+
+TimeUs
+BatchWaitBudget(const models::ModelProfile& m, int ibs)
+{
+  // SLO-aware batching wait (INFless/BATCH style): a request may wait
+  // for co-batching as long as wait + 1.2x the full-batch execution
+  // time still fits the SLO. Keeps instances idle between batches at
+  // light load, which is what lets collocated tasks reclaim the SMs.
+  const TimeUs slo = static_cast<TimeUs>(m.slo_ms * 1000.0);
+  const TimeUs exec = models::InferenceIterationFull(m, ibs) * 12 / 10;
+  return std::max<TimeUs>(0, slo - exec);
+}
+
+}  // namespace
 
 InferenceInstance::InferenceInstance(InstanceId id, FunctionId function,
                                      const models::ModelProfile* model,
@@ -13,7 +28,8 @@ InferenceInstance::InferenceInstance(InstanceId id, FunctionId function,
                                      TimeUs extra_latency_per_iter)
     : Instance(id, function, model, TaskType::kInference, sim),
       ibs_(ibs),
-      extra_latency_per_iter_(extra_latency_per_iter)
+      extra_latency_per_iter_(extra_latency_per_iter),
+      batch_wait_budget_(BatchWaitBudget(*model, ibs))
 {
   DILU_CHECK(ibs >= 1);
   granted_.assign(1, 0.0);
@@ -55,25 +71,12 @@ InferenceInstance::FailAndDrain(std::vector<workload::Request*>* out)
   Instance::Terminate();  // no flush: the work was lost, not finished
 }
 
-TimeUs
-InferenceInstance::BatchWaitBudget() const
-{
-  // SLO-aware batching wait (INFless/BATCH style): a request may wait
-  // for co-batching as long as wait + 1.2x the full-batch execution
-  // time still fits the SLO. Keeps instances idle between batches at
-  // light load, which is what lets collocated tasks reclaim the SMs.
-  const TimeUs slo = static_cast<TimeUs>(model_->slo_ms * 1000.0);
-  const TimeUs exec =
-      models::InferenceIterationFull(*model_, ibs_) * 12 / 10;
-  return std::max<TimeUs>(0, slo - exec);
-}
-
 void
 InferenceInstance::MaybeStartBatch()
 {
   if (in_flight_ || !running() || batcher_.empty()) return;
   if (static_cast<int>(batcher_.size()) < ibs_) {
-    const TimeUs deadline = batcher_.OldestArrival() + BatchWaitBudget();
+    const TimeUs deadline = batcher_.OldestArrival() + batch_wait_budget_;
     if (sim_->now() < deadline) return;  // keep collecting the batch
   }
   // Adaptive burst batching: the profiled IBS is the steady-state
@@ -91,12 +94,13 @@ InferenceInstance::MaybeStartBatch()
   in_flight_ = true;
   progress_ = 0.0;
   batch_started_ = sim_->now();
+  const int batch = static_cast<int>(batch_.size());
+  batch_sat_ = models::SaturationShare(*model_, batch);
+  batch_t_full_ = models::InferenceIterationFull(*model_, batch);
   // Seed the KLC floor with the model's contention-free iteration time
   // so inflation is measured against the ideal, not the first (possibly
   // already contended) observation.
-  klc_.Record(static_cast<int>(batch_.size()),
-              models::InferenceIterationFull(
-                  *model_, static_cast<int>(batch_.size())));
+  klc_.Record(batch, batch_t_full_);
 }
 
 double
@@ -110,9 +114,7 @@ InferenceInstance::ComputeDemand(int slot)
   if (!in_flight_ || !running()) return 0.0;
   // Each pipeline shard hosts 1/shard_count of the model; demand is the
   // batch's saturation share spread across shards.
-  const double sat = models::SaturationShare(
-      *model_, static_cast<int>(batch_.size()));
-  return sat / static_cast<double>(shard_count_);
+  return batch_sat_ / static_cast<double>(shard_count_);
 }
 
 void
@@ -131,26 +133,23 @@ InferenceInstance::FinishQuantum(TimeUs quantum)
     std::fill(granted_.begin(), granted_.end(), 0.0);
     return;
   }
-  const int batch = static_cast<int>(batch_.size());
   // Pipeline lockstep: the aggregate effective share is bounded by the
   // slowest shard.
   const double min_grant =
       *std::min_element(granted_.begin(), granted_.end());
   const double aggregate =
       min_grant * static_cast<double>(shard_count_);
-  const double speed = models::InferenceSpeed(*model_, batch, aggregate);
+  const double speed = models::InferenceSpeed(*model_, batch_sat_, aggregate);
   if (speed <= 0.0) {
     std::fill(granted_.begin(), granted_.end(), 0.0);
     return;
   }
-  const double t_full =
-      static_cast<double>(models::InferenceIterationFull(*model_, batch));
+  const double t_full = static_cast<double>(batch_t_full_);
   const double rate = speed / t_full;  // progress per microsecond
   const double needed = 1.0 - progress_;
   const double dt_to_done = needed / rate;
 
-  const double sat = models::SaturationShare(*model_, batch);
-  const double used_share = std::min(min_grant * shard_count_, sat);
+  const double used_share = std::min(min_grant * shard_count_, batch_sat_);
   if (dt_to_done <= static_cast<double>(quantum)) {
     // Completes within this quantum: interpolate the exact moment.
     for (std::size_t s = 0; s < blocks_last_.size(); ++s) {
@@ -210,9 +209,7 @@ InferenceInstance::KlcInflation() const
   if (in_flight_ && progress_ > 0.1) {
     const double elapsed =
         static_cast<double>(sim_->now() - batch_started_);
-    const double ideal = static_cast<double>(
-        models::InferenceIterationFull(*model_,
-                                       static_cast<int>(batch_.size())));
+    const double ideal = static_cast<double>(batch_t_full_);
     if (ideal > 0.0) {
       projected = std::max(0.0, elapsed / progress_ / ideal - 1.0);
     }

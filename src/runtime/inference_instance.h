@@ -88,11 +88,11 @@ class InferenceInstance : public Instance {
   void MaybeStartBatch();
   void CompleteBatch(TimeUs completion_time);
 
-  /** Max time the oldest request may wait for co-batching. */
-  TimeUs BatchWaitBudget() const;
-
   int ibs_;
   TimeUs extra_latency_per_iter_;
+  /** Max time the oldest request may wait for co-batching (fixed by
+   *  the model and ibs, so computed once). */
+  const TimeUs batch_wait_budget_;
   Batcher batcher_;
   RequestSink sink_;
   rckm::KlcMonitor klc_;
@@ -103,6 +103,10 @@ class InferenceInstance : public Instance {
   std::vector<workload::Request*> batch_;
   double progress_ = 0.0;
   TimeUs batch_started_ = 0;
+  /** Cost-model constants of the in-flight batch, set when it starts
+   *  and read every quantum. */
+  SmRate batch_sat_ = 0.0;
+  TimeUs batch_t_full_ = 0;
 
   // Per-quantum shard grants / accounting.
   std::vector<double> granted_;

@@ -31,9 +31,9 @@ TEST(MetricsHub, SvrCountsViolations)
   EXPECT_DOUBLE_EQ(hub.OverallSvrPercent(), 50.0);
 }
 
-// Contract test for the satellite fix: looking up metrics for an id
-// that was never registered must fail loudly (DILU_CHECK panic), not
-// throw out of std::map::at or silently default-construct.
+// Looking up or recording metrics for an id that was never registered
+// must fail loudly (DILU_CHECK panic), not throw out of std::map::at or
+// silently default-construct a row for it.
 TEST(MetricsHubDeathTest, UnregisteredFunctionPanics)
 {
   MetricsHub hub;
@@ -41,6 +41,23 @@ TEST(MetricsHubDeathTest, UnregisteredFunctionPanics)
   EXPECT_DEATH(hub.function(42), "check failed");
   const MetricsHub& const_hub = hub;
   EXPECT_DEATH(const_hub.function(42), "check failed");
+  workload::Request req;
+  EXPECT_DEATH(hub.RecordRequest(42, req), "check failed");
+  EXPECT_DEATH(hub.RecordColdStart(42), "check failed");
+  EXPECT_DEATH(hub.RecordRecoveryColdStart(42), "check failed");
+  EXPECT_DEATH(hub.RecordDrop(42, 0), "check failed");
+  EXPECT_DEATH(hub.SetServiceClass(42, ServiceClass::kCritical),
+               "check failed");
+  EXPECT_DEATH(hub.RecordAdmit(42, 0), "check failed");
+  EXPECT_DEATH(hub.RecordShedAdmission(42, 0), "check failed");
+  EXPECT_DEATH(hub.RecordShedRetry(42, 0), "check failed");
+  EXPECT_DEATH(hub.RecordTrainingRestart(42, 1), "check failed");
+  EXPECT_DEATH(hub.RecordCheckpoint(42, Ms(1)), "check failed");
+  EXPECT_DEATH(hub.SetWarmupUntil(42, Sec(1)), "check failed");
+  // The registered id still records normally.
+  hub.RecordColdStart(0);
+  EXPECT_EQ(hub.function(0).cold_starts, 1);
+  EXPECT_EQ(hub.functions().size(), 1u);
 }
 
 // The runtime used to hold every request of the whole run alive in its

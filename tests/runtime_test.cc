@@ -175,6 +175,87 @@ TEST(InferenceInstance, KlcRecordsIterations)
   EXPECT_GT(inst.klc().current(), 0);
 }
 
+// The instance computes each batch's saturation share and contention-free
+// iteration time when the batch starts and reuses them every quantum.
+// Uncontended (granted exactly its demand), every batch must take its own
+// size's InferenceIterationFull: a constant left over from the previous
+// batch (another size) moves the completion time or the KLC. The cost
+// model interpolates the completion inside a quantum in floating point
+// and truncates to whole microseconds, so a batch may finish 1 us early,
+// and the KLC may then read 1 us over its floor (dT ~ 4e-5 here).
+void ExpectEachBatchTakesItsFullIterationTime(int shard_count)
+{
+  Rig rig;
+  const auto& m = GetModel("roberta-large");
+  const int ibs = 2;
+  InferenceInstance inst(1, 0, &m, ibs, &rig.sim);
+  inst.set_shard_count(shard_count);
+  inst.BeginColdStart(0);
+  rig.AttachInference(&inst, 1.0);
+  for (int slot = 1; slot < shard_count; ++slot) {
+    gpusim::Attachment a;
+    a.client = &inst;
+    a.id = inst.client_id();
+    a.slot = slot;
+    a.type = TaskType::kInference;
+    a.quota = {1.0, 1.0};
+    a.static_share = 1.0;
+    a.memory_gb = 4.0;
+    rig.group.Attach(rig.group.AddGpu(40.0), a);
+  }
+  rig.group.Start();
+
+  // A lone request, a burst that triggers the 2 * ibs adaptive batch,
+  // then a lone request again.
+  for (const int batch : {1, 2 * ibs, 1}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shard_count
+                                      << " batch=" << batch);
+    std::vector<workload::Request> reqs(static_cast<std::size_t>(batch));
+    for (workload::Request& r : reqs) {
+      r.arrival = rig.sim.now();
+      inst.Enqueue(&r);
+    }
+    const std::int64_t batches_before = inst.stats().batches_executed;
+    // A full quantum of the batch launches its saturation share's worth
+    // of blocks on each shard.
+    const double full_quantum_blocks = models::SaturationShare(m, batch)
+        / shard_count * models::kBlocksPerQuantum;
+    int in_flight_quanta = 0;
+    for (int q = 0; q < 200 && inst.stats().batches_executed
+                                   == batches_before; ++q) {
+      rig.sim.RunFor(kTokenPeriodUs);
+      EXPECT_NEAR(inst.KlcInflation(), 0.0, 1e-4);
+      if (!inst.batch_in_flight()) continue;
+      ASSERT_EQ(inst.batch_in_flight_size(),
+                static_cast<std::size_t>(batch));
+      ++in_flight_quanta;
+      for (int slot = 0; slot < shard_count; ++slot) {
+        EXPECT_NEAR(inst.BlocksLaunchedLastQuantum(slot),
+                    full_quantum_blocks, 1e-9);
+      }
+    }
+    ASSERT_EQ(inst.stats().batches_executed, batches_before + 1);
+    EXPECT_GT(in_flight_quanta, 0);
+    const double t_full =
+        static_cast<double>(models::InferenceIterationFull(m, batch));
+    for (const workload::Request& r : reqs) {
+      ASSERT_TRUE(r.done);
+      EXPECT_NEAR(static_cast<double>(r.completed - r.started), t_full, 1.0);
+    }
+    EXPECT_NEAR(inst.KlcInflation(), 0.0, 1e-4);
+  }
+}
+
+TEST(InferenceInstance, PerBatchConstantsFollowTheBatchSize)
+{
+  ExpectEachBatchTakesItsFullIterationTime(1);
+}
+
+TEST(InferenceInstance, PerBatchConstantsFollowTheBatchSizeAcrossShards)
+{
+  ExpectEachBatchTakesItsFullIterationTime(2);
+}
+
 TEST(TrainingJob, IteratesAndTracksThroughput)
 {
   Rig rig;
