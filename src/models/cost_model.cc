@@ -20,11 +20,11 @@ double
 InferenceSpeed(const ModelProfile& m, int batch, SmRate s)
 {
   if (s <= 0.0) return 0.0;
-  return InferenceSpeed(m, SaturationShare(m, batch), s);
+  return InferenceSpeedAtSaturation(m, SaturationShare(m, batch), s);
 }
 
 double
-InferenceSpeed(const ModelProfile& m, SmRate sat, SmRate s)
+InferenceSpeedAtSaturation(const ModelProfile& m, SmRate sat, SmRate s)
 {
   if (s <= 0.0) return 0.0;
   if (s >= sat) {

@@ -34,7 +34,7 @@ double InferenceSpeed(const ModelProfile& m, int batch, SmRate s);
  * InferenceSpeed for a batch whose saturation share `sat` is already
  * known (the serving loop computes it once per batch, not per quantum).
  */
-double InferenceSpeed(const ModelProfile& m, SmRate sat, SmRate s);
+double InferenceSpeedAtSaturation(const ModelProfile& m, SmRate sat, SmRate s);
 
 /** Full-speed (share >= saturation) batch-B iteration time. */
 TimeUs InferenceIterationFull(const ModelProfile& m, int batch);

@@ -139,7 +139,8 @@ InferenceInstance::FinishQuantum(TimeUs quantum)
       *std::min_element(granted_.begin(), granted_.end());
   const double aggregate =
       min_grant * static_cast<double>(shard_count_);
-  const double speed = models::InferenceSpeed(*model_, batch_sat_, aggregate);
+  const double speed = models::InferenceSpeedAtSaturation(*model_, batch_sat_,
+                                                          aggregate);
   if (speed <= 0.0) {
     std::fill(granted_.begin(), granted_.end(), 0.0);
     return;
