@@ -52,9 +52,6 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || { echo "bench_ab: --pairs wants N >= 1" >&2; exit 2; }
-if [[ -n "$json_out" ]]; then
-  json_out="$(cd "$(dirname "$json_out")" && pwd)/$(basename "$json_out")"
-fi
 
 change_tree="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 bench_json="$change_tree/BENCHMARK.json"
