@@ -120,7 +120,7 @@ class ChaosEngine {
   ChaosVerdict Verdict() const;
 
   /**
-   * Verdict over an arbitrary outcome set — the sharded driver merges
+   * Verdict over an arbitrary outcome set — the experiment driver merges
    * per-shard outcomes into one fleet-wide list and scores it here.
    */
   static ChaosVerdict VerdictOf(const std::vector<FaultOutcome>& outcomes);

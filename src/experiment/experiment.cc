@@ -4,15 +4,25 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <numeric>
 
 #include "cluster/trace_export.h"
 #include "common/logging.h"
 #include "fabric/fabric.h"
+#include "sim/shard.h"
 #include "workload/arrival.h"
 #include "workload/azure_traces.h"
 
 namespace dilu::experiment {
+namespace {
 
+/**
+ * Seed of workload stream `index` under cluster seed `base`: stable,
+ * well-mixed, and disjoint from the chaos-surge streams (which derive
+ * from the event index inside the chaos engine). The driver passes the
+ * *global* workload index, so a stream's seed does not depend on the
+ * shard count.
+ */
 std::uint64_t
 WorkloadStreamSeed(std::uint64_t base, std::size_t index)
 {
@@ -20,6 +30,7 @@ WorkloadStreamSeed(std::uint64_t base, std::size_t index)
       + (static_cast<std::uint64_t>(index) + 1) * 0x100000001B3ull;
 }
 
+/** SystemConfig from preset + spec overrides (+ CLI seed override). */
 core::SystemConfig
 BuildSystemConfig(const ClusterSection& c, const FabricSection& fab,
                   std::uint64_t seed_override)
@@ -50,8 +61,6 @@ BuildSystemConfig(const ClusterSection& c, const FabricSection& fab,
   return cfg;
 }
 
-namespace {
-
 /** Envelope seconds covering a workload's warmup + duration. */
 int
 EnvelopeSeconds(const WorkloadSpec& w)
@@ -60,8 +69,7 @@ EnvelopeSeconds(const WorkloadSpec& w)
       std::ceil(ToSec(w.warmup + w.duration) - 1e-9));
 }
 
-}  // namespace
-
+/** The arrival process a WorkloadSpec describes, seeded. */
 std::unique_ptr<workload::ArrivalProcess>
 BuildArrivalProcess(const WorkloadSpec& w, std::uint64_t stream_seed)
 {
@@ -114,6 +122,7 @@ BuildArrivalProcess(const WorkloadSpec& w, std::uint64_t stream_seed)
   Fatal("unreachable arrival kind");
 }
 
+/** One function's measured outcome, read out of its runtime. */
 FunctionResult
 CollectFunctionResult(const cluster::ClusterRuntime& rt, FunctionId id)
 {
@@ -153,7 +162,76 @@ CollectFunctionResult(const cluster::ClusterRuntime& rt, FunctionId id)
   return fr;
 }
 
-namespace {
+/**
+ * Cluster seed of shard `s` under global seed `base`: a distinct mix
+ * per shard (scheduler tie-breaks and recovery jitter stay
+ * decorrelated across shards), deliberately different in form from
+ * WorkloadStreamSeed so shard seeds and stream seeds cannot collide.
+ */
+std::uint64_t
+ShardSeed(std::uint64_t base, int shard)
+{
+  return base * 0x9E3779B97F4A7C15ull
+      ^ (static_cast<std::uint64_t>(shard) + 1) * 0xD6E8FEB86659FD93ull;
+}
+
+/** Does this verb hit the whole fleet (delivered to every shard)? */
+bool
+IsBroadcast(chaos::FaultKind kind)
+{
+  return kind == chaos::FaultKind::kColdStartInflation
+      || kind == chaos::FaultKind::kStorageBrownout;
+}
+
+/** Does this verb target a GPU id? */
+bool
+TargetsGpu(chaos::FaultKind kind)
+{
+  switch (kind) {
+    case chaos::FaultKind::kGpuFail:
+    case chaos::FaultKind::kGpuRecover:
+    case chaos::FaultKind::kGpuDegrade:
+    case chaos::FaultKind::kGpuStraggle:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/** Does this verb target a node id (incl. the node's NIC)? */
+bool
+TargetsNode(chaos::FaultKind kind)
+{
+  switch (kind) {
+    case chaos::FaultKind::kNodeFail:
+    case chaos::FaultKind::kNodeRecover:
+    case chaos::FaultKind::kNodeDrain:
+    case chaos::FaultKind::kNodeUndrain:
+    case chaos::FaultKind::kLinkFail:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/**
+ * Stable sort positions by event time: position of insertion index
+ * `i` in the shard's Sorted() order (ChaosEngine sorts the same way,
+ * so Deliver(indices) line up).
+ */
+std::vector<std::size_t>
+SortedPositions(const std::vector<chaos::ScenarioEvent>& events)
+{
+  std::vector<std::size_t> order(events.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return events[a].at < events[b].at;
+                   });
+  std::vector<std::size_t> pos(events.size());
+  for (std::size_t p = 0; p < order.size(); ++p) pos[order[p]] = p;
+  return pos;
+}
 
 void
 AppendJson(std::string* out, const char* fmt, ...)
@@ -206,26 +284,209 @@ EscapeJson(const std::string& s)
 
 }  // namespace
 
-Experiment::Experiment(ExperimentSpec spec, RunOptions opts)
-    : spec_(std::move(spec)), opts_(std::move(opts))
+// The one-shard rules. A single shard is the whole fleet, so it must
+// run exactly the unpartitioned simulation every golden pins:
+//   1. seed: it takes the global cluster seed, not ShardSeed(seed, 0);
+//   2. one window: its barrier window is the whole horizon (at least
+//      1 us; ShardedSimulation needs a positive quantum), so every
+//      chaos verb is posted at t = 0 in (at, authoring order), the
+//      sequence ChaosEngine::Arm would post — ShardOptions::barrier is
+//      ignored;
+//   3. export names: traces go under the bare prefix, not "_s0".
+
+std::uint64_t
+Experiment::ShardClusterSeed(int s) const
 {
-  core::SystemConfig cfg =
+  return shard_count() == 1 ? seed_ : ShardSeed(seed_, s);
+}
+
+TimeUs
+Experiment::BarrierWindow() const
+{
+  return shard_count() == 1
+      ? std::max<TimeUs>(1, spec_.EffectiveRunFor())
+      : shard_opts_.barrier;
+}
+
+std::string
+Experiment::ShardExportPrefix(const std::string& prefix,
+                              std::size_t s) const
+{
+  return shard_count() == 1 ? prefix : prefix + "_s" + std::to_string(s);
+}
+
+Experiment::Experiment(ExperimentSpec spec, RunOptions opts,
+                       ShardOptions shard_opts)
+    : spec_(std::move(spec)),
+      opts_(std::move(opts)),
+      shard_opts_(shard_opts)
+{
+  core::SystemConfig base =
       BuildSystemConfig(spec_.cluster(), spec_.fabric(), opts_.seed);
-  seed_ = cfg.cluster.seed;
-  system_ = std::make_unique<core::System>(cfg);
-  for (const DeploySpec& d : spec_.deploys()) {
-    fn_ids_.push_back(system_->Deploy(d.fn));
+  seed_ = base.cluster.seed;
+  gpus_per_node_ = base.cluster.gpus_per_node;
+  const int total_nodes = base.cluster.nodes;
+  DILU_CHECK(total_nodes >= 1);
+  const int n =
+      std::max(1, std::min(shard_opts_.shards, total_nodes));
+  if (n != shard_opts_.shards) {
+    DILU_WARN << "shards clamped to " << n << " (fleet has "
+              << total_nodes << " nodes)";
+  }
+
+  // Contiguous balanced node blocks: shard s owns
+  // [first_node, first_node + nodes).
+  shards_.resize(static_cast<std::size_t>(n));
+  const int per = total_nodes / n;
+  const int rem = total_nodes % n;
+  NodeId next = 0;
+  for (int s = 0; s < n; ++s) {
+    Shard& sh = shards_[static_cast<std::size_t>(s)];
+    sh.first_node = next;
+    sh.nodes = per + (s < rem ? 1 : 0);
+    next += sh.nodes;
+    core::SystemConfig cfg = base;
+    cfg.cluster.nodes = sh.nodes;
+    cfg.cluster.seed = ShardClusterSeed(s);
+    sh.system = std::make_unique<core::System>(cfg);
+  }
+
+  // Home deploy index i on shard i % n, preserving deploy order
+  // within each shard (local function ids are local deploy indexes).
+  for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
+    const int s = static_cast<int>(i % static_cast<std::size_t>(n));
+    Shard& sh = shards_[static_cast<std::size_t>(s)];
+    homes_.emplace_back(s, sh.fn_ids.size());
+    sh.fn_ids.push_back(sh.system->Deploy(spec_.deploys()[i].fn));
   }
 }
 
 Experiment::~Experiment() = default;
 
+cluster::ClusterRuntime&
+Experiment::runtime(int s)
+{
+  DILU_CHECK(s >= 0 && s < shard_count());
+  return shards_[static_cast<std::size_t>(s)].system->runtime();
+}
+
+int
+Experiment::OwnerOfNode(NodeId node) const
+{
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& sh = shards_[s];
+    if (node >= sh.first_node && node < sh.first_node + sh.nodes) {
+      return static_cast<int>(s);
+    }
+  }
+  Fatal("chaos event targets node " + std::to_string(node)
+        + " outside the fleet");
+}
+
+int
+Experiment::OwnerOfGpu(GpuId gpu) const
+{
+  DILU_CHECK(gpu >= 0);
+  return OwnerOfNode(gpu / gpus_per_node_);
+}
+
+void
+Experiment::SplitChaos()
+{
+  const auto& events = spec_.chaos().events();
+  if (events.empty()) return;
+
+  // 1. Copy every event into its owning shard's sub-scenario with
+  //    local target ids (fleet-wide verbs go to every shard),
+  //    remembering which (shard, insertion index) copies each global
+  //    event produced.
+  std::vector<std::vector<std::pair<int, std::size_t>>> copies(
+      events.size());
+  for (std::size_t g = 0; g < events.size(); ++g) {
+    chaos::ScenarioEvent e = events[g];
+    std::vector<int> targets;
+    if (IsBroadcast(e.kind)) {
+      for (int s = 0; s < shard_count(); ++s) targets.push_back(s);
+    } else if (TargetsGpu(e.kind)) {
+      const int s = OwnerOfGpu(e.target);
+      const Shard& sh = shards_[static_cast<std::size_t>(s)];
+      e.target -= sh.first_node * gpus_per_node_;
+      targets.push_back(s);
+    } else if (TargetsNode(e.kind)) {
+      const int s = OwnerOfNode(e.target);
+      e.target -= shards_[static_cast<std::size_t>(s)].first_node;
+      targets.push_back(s);
+    } else {
+      // Function-targeted verb (checkpoint / surge / overload /
+      // throttle): deliver to the function's home shard, with the
+      // global deploy index remapped to the shard-local function id.
+      const auto fi = static_cast<std::size_t>(e.function);
+      DILU_CHECK(fi < homes_.size());
+      const auto [s, local] = homes_[fi];
+      e.function = shards_[static_cast<std::size_t>(s)].fn_ids[local];
+      targets.push_back(s);
+    }
+    for (const int s : targets) {
+      Shard& sh = shards_[static_cast<std::size_t>(s)];
+      copies[g].emplace_back(s, sh.scenario.events().size());
+      sh.scenario.Add(e);
+    }
+  }
+  for (Shard& sh : shards_) {
+    sh.scenario.set_name(spec_.chaos().name());
+  }
+
+  // 2. Translate insertion indexes into each shard engine's sorted
+  //    order, and lay out one delivery per copy in the global stable
+  //    (at, authoring order) sequence — ties in `at` are then posted
+  //    in authoring order, mirroring what Arm() does in one queue.
+  std::vector<std::vector<std::size_t>> sorted_pos;
+  sorted_pos.reserve(shards_.size());
+  for (const Shard& sh : shards_) {
+    sorted_pos.push_back(SortedPositions(sh.scenario.events()));
+  }
+  std::vector<std::size_t> global_order(events.size());
+  std::iota(global_order.begin(), global_order.end(), std::size_t{0});
+  std::stable_sort(global_order.begin(), global_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return events[a].at < events[b].at;
+                   });
+  for (std::size_t p = 0; p < global_order.size(); ++p) {
+    const std::size_t g = global_order[p];
+    for (const auto& [s, insert] : copies[g]) {
+      deliveries_.push_back(ChaosDelivery{
+          events[g].at, s,
+          sorted_pos[static_cast<std::size_t>(s)][insert], p});
+    }
+  }
+  // (at, global sorted position, shard) is unique per delivery, so
+  // the release order is a total order independent of construction.
+  std::sort(deliveries_.begin(), deliveries_.end(),
+            [](const ChaosDelivery& a, const ChaosDelivery& b) {
+              if (a.at != b.at) return a.at < b.at;
+              if (a.global_index != b.global_index) {
+                return a.global_index < b.global_index;
+              }
+              return a.shard < b.shard;
+            });
+  event_deliveries_.resize(events.size());
+  for (std::size_t d = 0; d < deliveries_.size(); ++d) {
+    event_deliveries_[deliveries_[d].global_index].push_back(d);
+  }
+}
+
 void
 Experiment::ArmWorkload(std::size_t index)
 {
   const WorkloadSpec& w = spec_.workloads()[index];
-  cluster::ClusterRuntime& rt = system_->runtime();
-  const FunctionId fn = fn_ids_[static_cast<std::size_t>(w.fn)];
+  const auto fi = static_cast<std::size_t>(w.fn);
+  DILU_CHECK(fi < homes_.size());
+  const auto [s, local] = homes_[fi];
+  Shard& sh = shards_[static_cast<std::size_t>(s)];
+  cluster::ClusterRuntime& rt = sh.system->runtime();
+  const FunctionId fn = sh.fn_ids[local];
+  // Global seed + global workload index: the stream is identical at
+  // any shard count.
   const std::uint64_t stream =
       w.seed ? *w.seed : WorkloadStreamSeed(seed_, index);
   const TimeUs until = w.end();
@@ -262,17 +523,20 @@ Experiment::Run()
   DILU_CHECK(!ran_);
   ran_ = true;
 
-  // Provision warm capacity, enable co-scaling, submit training.
+  // Provision warm capacity, enable co-scaling, submit training, in
+  // global deploy order.
   for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
     const DeploySpec& d = spec_.deploys()[i];
-    const FunctionId fn = fn_ids_[i];
+    const auto [s, local] = homes_[i];
+    Shard& sh = shards_[static_cast<std::size_t>(s)];
+    const FunctionId fn = sh.fn_ids[local];
     if (d.fn.type == TaskType::kInference) {
-      if (d.provision > 0) system_->Provision(fn, d.provision);
-      if (!d.scaler.empty()) system_->EnableCoScaling(fn, d.scaler);
+      if (d.provision > 0) sh.system->Provision(fn, d.provision);
+      if (!d.scaler.empty()) sh.system->EnableCoScaling(fn, d.scaler);
     } else {
-      // Cold submission at `start` (0 fires as the clock begins).
-      system_->runtime().simulation().Post(
-          d.start, [this, fn] { system_->StartTraining(fn, true); });
+      core::System* sys = sh.system.get();
+      sh.system->runtime().simulation().Post(
+          d.start, [sys, fn] { sys->StartTraining(fn, true); });
     }
   }
 
@@ -280,22 +544,55 @@ Experiment::Run()
     ArmWorkload(i);
   }
 
-  if (!spec_.chaos().empty()) {
-    engine_ = std::make_unique<chaos::ChaosEngine>(&system_->runtime(),
-                                                   spec_.chaos());
-    engine_->Arm();
+  SplitChaos();
+  for (Shard& sh : shards_) {
+    if (sh.scenario.empty()) continue;
+    sh.engine = std::make_unique<chaos::ChaosEngine>(
+        &sh.system->runtime(), sh.scenario);
+    sh.engine->PrepareDeferred();
   }
 
-  system_->RunFor(spec_.EffectiveRunFor());
+  std::vector<sim::Simulation*> sims;
+  sims.reserve(shards_.size());
+  for (Shard& sh : shards_) {
+    sims.push_back(&sh.system->runtime().simulation());
+  }
+  sim::ShardedSimulation ssim(std::move(sims), shard_opts_.threads,
+                              BarrierWindow());
+
+  // The coordinator releases each chaos verb into its owning shard's
+  // mailbox at the barrier that opens the verb's window, delivered in
+  // (when, source, seq) order.
+  std::size_t cursor = 0;
+  ssim.set_barrier_hook([this, &ssim, &cursor](TimeUs start,
+                                               TimeUs end) {
+    if (probe_) probe_(start);
+    while (cursor < deliveries_.size()
+           && deliveries_[cursor].at <= end) {
+      const ChaosDelivery& d = deliveries_[cursor++];
+      chaos::ChaosEngine* eng =
+          shards_[static_cast<std::size_t>(d.shard)].engine.get();
+      ssim.Post(d.shard, d.at,
+                [eng, idx = d.local_index] { eng->Deliver(idx); });
+    }
+  });
+
+  ssim.RunUntil(spec_.EffectiveRunFor());
+  if (probe_) probe_(spec_.EffectiveRunFor());
 
   ExperimentResult result = Collect();
   const std::string& prefix = opts_.export_prefix.empty()
       ? spec_.export_prefix()
       : opts_.export_prefix;
   if (!prefix.empty()) {
-    result.export_ok = cluster::ExportAll(system_->runtime(), prefix);
-    if (!result.export_ok) {
-      DILU_WARN << "trace export to prefix '" << prefix << "' failed";
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const std::string shard_prefix = ShardExportPrefix(prefix, s);
+      if (!cluster::ExportAll(shards_[s].system->runtime(),
+                              shard_prefix)) {
+        result.export_ok = false;
+        DILU_WARN << "trace export to prefix '" << shard_prefix
+                  << "' failed";
+      }
     }
   }
   return result;
@@ -304,45 +601,110 @@ Experiment::Run()
 ExperimentResult
 Experiment::Collect() const
 {
-  const cluster::ClusterRuntime& rt = system_->runtime();
-  const cluster::MetricsHub& hub = rt.metrics();
-
   ExperimentResult r;
   r.experiment = spec_.name();
   r.seed = seed_;
   r.run_for_s = ToSec(spec_.EffectiveRunFor());
 
-  for (const FunctionId id : fn_ids_) {
-    FunctionResult fr = CollectFunctionResult(rt, id);
+  for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
+    const auto [s, local] = homes_[i];
+    const Shard& sh = shards_[static_cast<std::size_t>(s)];
+    FunctionResult fr = CollectFunctionResult(sh.system->runtime(),
+                                              sh.fn_ids[local]);
     r.total_completed += fr.completed;
     r.total_dropped += fr.dropped;
     r.functions.push_back(std::move(fr));
   }
 
-  if (engine_) r.chaos = engine_->Verdict();
+  // Chaos verdict: merge each global event's per-shard copies into
+  // one fleet-wide outcome (a broadcast verb injected on N shards is
+  // still ONE fault; it recovers when the last shard recovers), then
+  // score the merged list with the engine's own scorer.
+  if (!deliveries_.empty()) {
+    std::vector<chaos::FaultOutcome> merged;
+    const auto& global_events = spec_.chaos().events();
+    std::vector<std::size_t> order(global_events.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return global_events[a].at < global_events[b].at;
+                     });
+    for (std::size_t p = 0; p < event_deliveries_.size(); ++p) {
+      chaos::FaultOutcome out;
+      out.event = global_events[order[p]];
+      bool all_recovered = true;
+      TimeUs last_recovery = -1;
+      for (const std::size_t di : event_deliveries_[p]) {
+        const ChaosDelivery& d = deliveries_[di];
+        const Shard& sh = shards_[static_cast<std::size_t>(d.shard)];
+        const chaos::FaultOutcome& o =
+            sh.engine->outcomes()[d.local_index];
+        if (!o.injected) continue;
+        out.injected = true;
+        out.displaced += o.displaced;
+        if (o.recovered_at < 0) {
+          all_recovered = false;
+        } else {
+          last_recovery = std::max(last_recovery, o.recovered_at);
+        }
+      }
+      if (out.injected && all_recovered) out.recovered_at = last_recovery;
+      merged.push_back(out);
+    }
+    r.chaos = chaos::ChaosEngine::VerdictOf(merged);
+  }
 
-  if (const fabric::FabricPlane* fp = rt.fabric()) {
+  bool fabric_enabled = false;
+  for (const Shard& sh : shards_) {
+    const fabric::FabricPlane* fp = sh.system->runtime().fabric();
+    if (fp == nullptr) continue;
     const fabric::FabricTotals& t = fp->totals();
-    r.fabric_enabled = true;
-    r.fabric_storage_transfers = t.storage_transfers;
-    r.fabric_network_transfers = t.network_transfers;
-    r.fabric_storage_gb = t.storage_gb;
-    r.fabric_network_gb = t.network_gb;
-    r.fabric_stall_s = ToSec(t.stall_us);
-    r.fabric_max_queue = t.max_queue;
+    fabric_enabled = true;
+    r.fabric_storage_transfers += t.storage_transfers;
+    r.fabric_network_transfers += t.network_transfers;
+    r.fabric_storage_gb += t.storage_gb;
+    r.fabric_network_gb += t.network_gb;
+    r.fabric_stall_s += ToSec(t.stall_us);
+    r.fabric_max_queue = std::max(r.fabric_max_queue, t.max_queue);
   }
+  r.fabric_enabled = fabric_enabled;
 
-  r.max_gpus = rt.max_active_gpus();
-  const auto& samples = hub.samples();
-  for (const cluster::ClusterSample& s : samples) {
-    r.avg_gpus += s.active_gpus;
+  // Cluster aggregates: integer counters merge exactly (so the
+  // serialized report is bit-stable at any thread count); max_gpus is
+  // the sum of per-shard peaks — an upper bound on the fleet-wide
+  // concurrent peak, and exact whenever occupancy is flat.
+  std::int64_t active_sum = 0;
+  std::size_t sample_count = 0;
+  std::int64_t completed = 0;
+  std::int64_t violations = 0;
+  std::int64_t unserved = 0;
+  for (const Shard& sh : shards_) {
+    const cluster::ClusterRuntime& rt = sh.system->runtime();
+    const cluster::MetricsHub& hub = rt.metrics();
+    r.max_gpus += rt.max_active_gpus();
+    for (const cluster::ClusterSample& cs : hub.samples()) {
+      active_sum += cs.active_gpus;
+    }
+    sample_count = std::max(sample_count, hub.samples().size());
+    r.gpu_seconds += hub.total_gpu_seconds();
+    r.total_shed += hub.TotalShed();
+    r.total_cold_starts += hub.TotalColdStarts();
+    for (const auto& [id, m] : hub.functions()) {
+      completed += m.completed;
+      violations += m.violations;
+      unserved += m.dropped + m.shed_admission + m.shed_retry;
+    }
   }
-  r.avg_gpus /= std::max<std::size_t>(1, samples.size());
-  r.gpu_seconds = hub.total_gpu_seconds();
-  r.total_shed = hub.TotalShed();
-  r.total_cold_starts = hub.TotalColdStarts();
-  r.overall_svr_percent = hub.OverallSvrPercent();
-  r.overall_availability_percent = hub.OverallAvailabilityPercent();
+  r.avg_gpus = static_cast<double>(active_sum)
+      / static_cast<double>(std::max<std::size_t>(1, sample_count));
+  r.overall_svr_percent = completed == 0
+      ? 0.0
+      : 100.0 * static_cast<double>(violations)
+          / static_cast<double>(completed);
+  r.overall_availability_percent = completed + unserved == 0
+      ? 100.0
+      : 100.0 * static_cast<double>(completed)
+          / static_cast<double>(completed + unserved);
   return r;
 }
 

@@ -12,21 +12,42 @@
  * iterations / restarts / checkpoint costs / JCT; chaos TTR verdict;
  * cluster occupancy) and export traces when the spec asks for them.
  *
+ * The fleet always runs as a partition into N shards advanced on a
+ * worker pool between time barriers (docs/PARALLELISM.md); the default
+ * is one shard on the calling thread. The shard ownership map:
+ *   - nodes: split into contiguous balanced blocks; shard s owns its
+ *     block's nodes, GPUs, instances, gateway, scheduler and fabric;
+ *   - functions: deploy index i is homed on shard i % N, together
+ *     with its workload pumps, scaler loop and training job;
+ *   - chaos: each event is delivered to the shard that owns its
+ *     target (fleet-wide verbs are broadcast to every shard) through
+ *     the shard's mailbox at the right time barrier.
+ *
+ * Workload stream seeds derive from the *global* seed and *global*
+ * workload index, so a function sees the same arrival sequence at any
+ * shard count. A one-shard run is the whole fleet and follows three
+ * rules (seed, window, export names; see experiment.cc) so it is the
+ * unpartitioned simulation exactly. For N >= 2 the partitioned fleet
+ * is a different (but equally valid) system: results are comparable
+ * across runs / thread counts only at the SAME shard count.
+ *
  * Deterministic: the result's JSON serialization is byte-identical
- * across runs of the same spec + seed (the experiment-smoke CI job
- * diffs exactly that).
+ * across runs of the same spec + seed + shard count, at any thread
+ * count (the experiment-smoke CI job diffs exactly that).
  */
 #ifndef DILU_EXPERIMENT_EXPERIMENT_H_
 #define DILU_EXPERIMENT_EXPERIMENT_H_
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos_engine.h"
 #include "core/system.h"
 #include "experiment/experiment_spec.h"
-#include "workload/arrival.h"
 
 namespace dilu::experiment {
 
@@ -103,34 +124,6 @@ struct ExperimentResult {
   std::string ToJson() const;
 };
 
-// --- shared assembly helpers --------------------------------------
-// Used by Experiment and by the sharded driver (ShardedExperiment),
-// which must build per-shard systems / workload streams / per-function
-// results with exactly the same recipe so shards=1 and shards=N report
-// through identical code paths.
-
-/** SystemConfig from preset + spec overrides (+ CLI seed override). */
-core::SystemConfig BuildSystemConfig(const ClusterSection& c,
-                                     const FabricSection& fab,
-                                     std::uint64_t seed_override);
-
-/**
- * Seed of workload stream `index` under cluster seed `base`: stable,
- * well-mixed, and disjoint from the chaos-surge streams (which derive
- * from the event index inside the chaos engine). The sharded driver
- * passes the *global* workload index, so a stream's seed does not
- * depend on the shard count.
- */
-std::uint64_t WorkloadStreamSeed(std::uint64_t base, std::size_t index);
-
-/** The arrival process a WorkloadSpec describes, seeded. */
-std::unique_ptr<workload::ArrivalProcess> BuildArrivalProcess(
-    const WorkloadSpec& w, std::uint64_t stream_seed);
-
-/** One function's measured outcome, read out of its runtime. */
-FunctionResult CollectFunctionResult(const cluster::ClusterRuntime& rt,
-                                     FunctionId id);
-
 /** Run-time knobs that are not part of the spec. */
 struct RunOptions {
   /** Overrides the spec / preset cluster seed when non-zero. */
@@ -139,15 +132,27 @@ struct RunOptions {
   std::string export_prefix;
 };
 
+/** Partitioning knobs (docs/PARALLELISM.md). */
+struct ShardOptions {
+  int shards = 1;   ///< requested shards (clamped to the node count)
+  int threads = 1;  ///< worker threads (clamped to [1, shards])
+  /**
+   * Time-barrier window; cross-shard effects land at its edges.
+   * Ignored at one shard, which runs the horizon as one window.
+   */
+  TimeUs barrier = Ms(100);
+};
+
 /** One executable instance of a spec (single-shot). */
 class Experiment {
  public:
   /**
-   * Builds the cluster and deploys the spec's functions (ids are the
-   * deploy indexes). Workloads, chaos and the clock do not move until
-   * Run().
+   * Builds the shards' clusters and deploys the spec's functions on
+   * their home shards. Workloads, chaos and the clock do not move
+   * until Run().
    */
-  explicit Experiment(ExperimentSpec spec, RunOptions opts = {});
+  explicit Experiment(ExperimentSpec spec, RunOptions opts = {},
+                      ShardOptions shard_opts = {});
   ~Experiment();
 
   Experiment(const Experiment&) = delete;
@@ -155,28 +160,66 @@ class Experiment {
 
   /**
    * Execute the whole pipeline; callable once. Exports traces when the
-   * spec (or RunOptions) names a prefix.
+   * spec (or RunOptions) names a prefix; with N >= 2 shards each
+   * shard's slice of the fleet goes under "<prefix>_s<k>".
    */
   ExperimentResult Run();
 
   const ExperimentSpec& spec() const { return spec_; }
+  int shard_count() const { return static_cast<int>(shards_.size()); }
 
-  /** The underlying cluster, for inspection (fault logs, series). */
-  cluster::ClusterRuntime& runtime() { return system_->runtime(); }
+  /** Shard `s`'s cluster, for inspection (fault logs, audits). */
+  cluster::ClusterRuntime& runtime(int s = 0);
 
-  /** Chaos engine outcomes; null when the spec embeds no scenario. */
-  const chaos::ChaosEngine* engine() const { return engine_.get(); }
+  /**
+   * Test probe: called at every time barrier (all shards quiescent at
+   * the barrier time) with the window start, and once at the horizon.
+   * Set before Run().
+   */
+  void set_barrier_probe(std::function<void(TimeUs)> probe)
+  {
+    probe_ = std::move(probe);
+  }
 
  private:
+  struct Shard {
+    std::unique_ptr<core::System> system;
+    std::unique_ptr<chaos::ChaosEngine> engine;
+    chaos::ScenarioSpec scenario;       ///< remapped sub-scenario
+    std::vector<FunctionId> fn_ids;     ///< by local deploy order
+    NodeId first_node = 0;
+    int nodes = 0;
+  };
+  /** One chaos delivery: global event -> (shard, local sorted idx). */
+  struct ChaosDelivery {
+    TimeUs at = 0;
+    int shard = 0;
+    std::size_t local_index = 0;
+    std::size_t global_index = 0;  ///< position in the global sort
+  };
+
+  std::uint64_t ShardClusterSeed(int s) const;
+  TimeUs BarrierWindow() const;
+  std::string ShardExportPrefix(const std::string& prefix,
+                                std::size_t s) const;
+  int OwnerOfNode(NodeId node) const;
+  int OwnerOfGpu(GpuId gpu) const;
+  void SplitChaos();
   void ArmWorkload(std::size_t index);
   ExperimentResult Collect() const;
 
   ExperimentSpec spec_;
   RunOptions opts_;
-  std::uint64_t seed_ = 0;  ///< effective cluster seed
-  std::unique_ptr<core::System> system_;
-  std::unique_ptr<chaos::ChaosEngine> engine_;
-  std::vector<FunctionId> fn_ids_;  ///< by deploy index
+  ShardOptions shard_opts_;
+  std::uint64_t seed_ = 0;  ///< effective global seed (reported)
+  int gpus_per_node_ = 0;
+  std::vector<Shard> shards_;
+  /** deploy index -> (home shard, local deploy index). */
+  std::vector<std::pair<int, std::size_t>> homes_;
+  std::vector<ChaosDelivery> deliveries_;  ///< sorted by (at, global)
+  /** deliveries_ grouped per global event (verdict de-duplication). */
+  std::vector<std::vector<std::size_t>> event_deliveries_;
+  std::function<void(TimeUs)> probe_;
   bool ran_ = false;
 };
 

@@ -6,7 +6,6 @@
 
 #include "common/spec_text.h"
 #include "experiment/experiment_spec.h"
-#include "experiment/sharded_experiment.h"
 
 namespace dilu::sweep {
 
@@ -127,18 +126,13 @@ ExecuteSweep(const SweepMatrix& matrix, int threads)
       const SweepRun& run = matrix.runs[i];
       experiment::RunOptions opts;
       opts.seed = run.seed;
-      if (run.shards > 1) {
-        // One worker thread per run already saturates the pool;
-        // nesting the sharded driver's own pool would oversubscribe.
-        experiment::ShardOptions shard_opts;
-        shard_opts.shards = run.shards;
-        shard_opts.threads = 1;
-        experiment::ShardedExperiment exp(run.spec, opts, shard_opts);
-        results[i] = exp.Run();
-      } else {
-        experiment::Experiment exp(run.spec, opts);
-        results[i] = exp.Run();
-      }
+      // One worker thread per run already saturates the pool; nesting
+      // the driver's own shard pool would oversubscribe.
+      experiment::ShardOptions shard_opts;
+      shard_opts.shards = run.shards;
+      shard_opts.threads = 1;
+      experiment::Experiment exp(run.spec, opts, shard_opts);
+      results[i] = exp.Run();
     }
   };
 

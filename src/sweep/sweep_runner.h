@@ -9,8 +9,7 @@
  * trace-export prefix (a thousand runs must not write a thousand trace
  * trees) and fans out into `seeds` repetitions under seeds
  * `seed_base + k`. The pseudo-axis `run.shards` is intercepted here —
- * it selects the sharded driver for the cell instead of mutating the
- * spec.
+ * it sets the cell's shard count instead of mutating the spec.
  *
  * Execution pulls runs off a shared cursor onto N worker threads
  * (mutex-guarded, the ShardedSimulation pool shape) but stores each
@@ -39,7 +38,7 @@ struct SweepRun {
   int rep = 0;            ///< seed repetition within the cell
   std::uint64_t seed = 0;            ///< seed_base + rep
   std::vector<std::string> values;   ///< one per axis, sweep order
-  int shards = 1;  ///< > 1: execute through the sharded driver
+  int shards = 1;  ///< partition the fleet into this many shards
   experiment::ExperimentSpec spec;   ///< base + axis values applied
 };
 

@@ -339,23 +339,40 @@ TEST(ExperimentDriver, SurgeOnClosedLoopFnDoesNotSpawnPhantomClients)
 
 TEST(ExperimentDriver, ExportPrefixWritesTraceCsvs)
 {
-  ExperimentSpec s("exported");
-  s.cluster().nodes = 1;
-  s.AddInference("bert-base").provision = 1;
-  s.AddPoisson(0, 10.0, Sec(3));
-  s.chaos().FailGpu(Sec(1), 0);
-  s.RunFor(Sec(5));
-  s.ExportTo("/tmp/dilu_experiment_test");
-  Experiment exp(std::move(s));
-  exp.Run();
-  for (const char* suffix : {"_samples.csv", "_functions.csv",
-                             "_faults.csv"}) {
-    const std::string path = std::string("/tmp/dilu_experiment_test")
-        + suffix;
-    std::ifstream f(path);
-    EXPECT_TRUE(f.good()) << path;
-    f.close();
+  // One shard exports under the bare prefix. Two shards export each
+  // shard's slice under PREFIX_s<k> and nothing under the bare prefix;
+  // the failed GPU lives on shard 0, so only its slice logs a fault.
+  const std::string prefix = "/tmp/dilu_experiment_test";
+  const auto exists = [&prefix](const std::string& part) {
+    const std::string path = prefix + part + ".csv";
+    const bool found = std::filesystem::exists(path);
     std::remove(path.c_str());
+    return found;
+  };
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    ExperimentSpec s("exported");
+    s.cluster().nodes = 2;
+    s.AddInference("bert-base").provision = 1;
+    s.AddInference("resnet152").provision = 1;
+    s.AddPoisson(0, 10.0, Sec(3));
+    s.AddPoisson(1, 10.0, Sec(3));
+    s.chaos().FailGpu(Sec(1), 0);
+    s.RunFor(Sec(5));
+    s.ExportTo(prefix);
+    experiment::ShardOptions sh;
+    sh.shards = shards;
+    Experiment exp(std::move(s), {}, sh);
+    EXPECT_TRUE(exp.Run().export_ok);
+    const bool one = shards == 1;
+    for (const char* table : {"_samples", "_functions"}) {
+      EXPECT_EQ(exists(table), one) << table;
+      EXPECT_EQ(exists(std::string("_s0") + table), !one) << table;
+      EXPECT_EQ(exists(std::string("_s1") + table), !one) << table;
+    }
+    EXPECT_EQ(exists("_faults"), one);
+    EXPECT_EQ(exists("_s0_faults"), !one);
+    EXPECT_FALSE(exists("_s1_faults"));
   }
 }
 

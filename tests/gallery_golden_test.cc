@@ -1,13 +1,14 @@
 /**
  * @file
  * Golden reports for the whole experiments/ gallery. Every `.exp`
- * spec in experiments/ is run at `--seed 1` through the single-threaded
- * driver and through the sharded driver (4 shards, 2 threads), and each
- * report's `ToJson()` is compared byte-for-byte against
- * `tests/golden/gallery/<name>.shards<N>.json`. Specs that already have
- * their own golden (`tests/golden/<name>_golden.json`, pinned by
- * fabric_test and overload_test) are run only through the sharded
- * driver here.
+ * spec in experiments/ is run at `--seed 1` as one shard and as four
+ * shards (2 threads), and each report's `ToJson()` is compared
+ * byte-for-byte against `tests/golden/gallery/<name>.shards<N>.json`.
+ * The one-shard run is the whole fleet under the driver's one-shard
+ * rules (global seed, one window, bare export names), so its goldens
+ * pin the unpartitioned simulation. Specs that already have their own
+ * golden (`tests/golden/<name>_golden.json`, pinned by fabric_test and
+ * overload_test) are run only at four shards here.
  *
  * A refactor that keeps every golden in this directory byte-identical
  * changed no simulated outcome anywhere in the gallery. Deliberate
@@ -31,7 +32,7 @@
 #include <utility>
 #include <vector>
 
-#include "experiment/sharded_experiment.h"
+#include "experiment/experiment.h"
 
 namespace dilu {
 namespace {
@@ -102,14 +103,10 @@ RunReport(const GalleryRun& run)
 
   experiment::RunOptions opts;
   opts.seed = 1;  // the CI smoke's invocation: dilu_run --seed 1
-  if (run.shards == 1) {
-    experiment::Experiment exp(std::move(spec), opts);
-    return exp.Run().ToJson();
-  }
   experiment::ShardOptions sh;
   sh.shards = run.shards;
   sh.threads = 2;
-  experiment::ShardedExperiment exp(std::move(spec), opts, sh);
+  experiment::Experiment exp(std::move(spec), opts, sh);
   return exp.Run().ToJson();
 }
 

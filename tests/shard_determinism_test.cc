@@ -4,9 +4,11 @@
  * bar): the three CI-smoke specs — chaos_burst, overload_shed and
  * fabric_contention — must serialize byte-identically across reruns
  * AND across worker-thread counts at every shard count. shards=1 is
- * the legacy single-threaded Experiment (the reference semantics);
- * shards>=2 is the partitioned fleet, a different but equally valid
- * system whose reports are only compared at the same shard count.
+ * the whole fleet as one shard (the reference semantics): it takes the
+ * global seed and runs the horizon as one window, so neither the
+ * thread count nor the barrier may change its report. shards>=2 is the
+ * partitioned fleet, a different but equally valid system whose
+ * reports are only compared at the same shard count.
  * Shard requests above the spec's node count clamp (fabric_contention
  * has 2 nodes), which is itself part of the contract under test.
  */
@@ -16,7 +18,7 @@
 #include <sstream>
 #include <string>
 
-#include "experiment/sharded_experiment.h"
+#include "experiment/experiment.h"
 
 namespace dilu {
 namespace {
@@ -47,30 +49,49 @@ LoadSpec(const std::string& name)
   return spec;
 }
 
-/** One sharded run of `name` under (shards, threads), serialized. */
+/** One run of `name` under `sh`, serialized. */
 std::string
-RunSharded(const std::string& name, int shards, int threads)
+RunReport(const std::string& name, const experiment::ShardOptions& sh)
 {
   experiment::RunOptions opts;
   opts.seed = 1;  // the CI smoke's invocation: dilu_run --seed 1
+  experiment::Experiment exp(LoadSpec(name), opts, sh);
+  return exp.Run().ToJson();
+}
+
+/** One run of `name` under (shards, threads), serialized. */
+std::string
+RunSharded(const std::string& name, int shards, int threads)
+{
   experiment::ShardOptions sh;
   sh.shards = shards;
   sh.threads = threads;
-  experiment::ShardedExperiment exp(LoadSpec(name), opts, sh);
-  return exp.Run().ToJson();
+  return RunReport(name, sh);
 }
 
 class ShardDeterminism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ShardDeterminism, LegacyDriverIsRerunStable)
 {
-  // The shards=1 row of the grid: dilu_run routes it through the
-  // legacy Experiment, so this is plain two-run byte-equality.
-  experiment::RunOptions opts;
-  opts.seed = 1;
-  experiment::Experiment run1(LoadSpec(GetParam()), opts);
-  experiment::Experiment run2(LoadSpec(GetParam()), opts);
-  EXPECT_EQ(run1.Run().ToJson(), run2.Run().ToJson());
+  // The shards=1 row of the grid (the name predates the single
+  // driver): two default runs are byte-equal, and a one-shard run
+  // ignores the thread count and the barrier. Honouring the barrier
+  // would release each chaos verb at its window's barrier instead of
+  // at t = 0, reordering it against same-time events; any window
+  // shorter than the horizon does that alike, so the 7 ms run is also
+  // checked against one whose window outlasts the horizon.
+  const std::string reference = RunReport(GetParam(), {});
+  EXPECT_FALSE(reference.empty());
+  EXPECT_EQ(RunReport(GetParam(), {}), reference) << "rerun diverged";
+  experiment::ShardOptions sh;
+  sh.shards = 1;
+  sh.threads = 4;
+  sh.barrier = Ms(7);
+  EXPECT_EQ(RunReport(GetParam(), sh), reference)
+      << "one shard must ignore a 7 ms barrier";
+  sh.barrier = Sec(3600);
+  EXPECT_EQ(RunReport(GetParam(), sh), reference)
+      << "one shard must ignore a barrier longer than the horizon";
 }
 
 TEST_P(ShardDeterminism, ShardedRunsAreThreadAndRerunInvariant)

@@ -4,7 +4,7 @@
  * mailbox's (when, source, seq) total order and barrier-floor clamp,
  * cross-shard post delivery semantics, thread-count and rerun
  * invariance of the barrier driver, the engineered shard-islands spec
- * whose sharded report must equal the legacy single-threaded one
+ * whose 4-shard report must equal its one-shard (whole-fleet) report
  * byte-for-byte, and a randomized cross-shard chaos storm audited with
  * AuditFleet/AuditFabric at every time barrier.
  */
@@ -21,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "experiment/sharded_experiment.h"
+#include "experiment/experiment.h"
 #include "invariant_audit.h"
 #include "sim/shard.h"
 
@@ -234,16 +234,15 @@ TEST(ShardedExperiment, IslandsSpecMatchesLegacyByteForByte)
   // shard_islands.exp is engineered so its four single-function
   // islands coincide exactly with the shards=4 partition: nothing ever
   // crosses a shard boundary, so the merged sharded report must equal
-  // the legacy single-threaded report byte-for-byte. This is the same
+  // the one-shard (whole-fleet) report byte-for-byte. This is the same
   // diff the CI experiment-smoke job performs via dilu_run.
-  experiment::Experiment legacy(LoadSpec("shard_islands.exp"));
-  const std::string want = legacy.Run().ToJson();
+  experiment::Experiment whole(LoadSpec("shard_islands.exp"));
+  const std::string want = whole.Run().ToJson();
 
   experiment::ShardOptions sh;
   sh.shards = 4;
   sh.threads = 4;
-  experiment::ShardedExperiment sharded(LoadSpec("shard_islands.exp"), {},
-                                        sh);
+  experiment::Experiment sharded(LoadSpec("shard_islands.exp"), {}, sh);
   EXPECT_EQ(sharded.Run().ToJson(), want)
       << "an island-aligned partition must merge losslessly";
 }
@@ -325,7 +324,7 @@ TEST(ShardedExperiment, RandomizedStormAuditsCleanAtEveryBarrier)
   sh.shards = 3;
   sh.threads = 4;
   sh.barrier = Ms(500);  // every barrier is audited; keep the count sane
-  experiment::ShardedExperiment exp(spec, {}, sh);
+  experiment::Experiment exp(spec, {}, sh);
   int barriers = 0;
   exp.set_barrier_probe([&](TimeUs at) {
     ++barriers;
@@ -347,7 +346,7 @@ TEST(ShardedExperiment, RandomizedStormAuditsCleanAtEveryBarrier)
   ASSERT_TRUE(experiment::ExperimentSpec::Parse(text, &spec2, &error));
   experiment::ShardOptions sh2 = sh;
   sh2.threads = 1;
-  experiment::ShardedExperiment again(spec2, {}, sh2);
+  experiment::Experiment again(spec2, {}, sh2);
   EXPECT_EQ(again.Run().ToJson(), first)
       << "storm must not depend on the worker count";
 }

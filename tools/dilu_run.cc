@@ -11,34 +11,35 @@
  *  --out FILE       write the JSON result (dilu-experiment/1) to FILE
  *                   instead of stdout
  *  --export PREFIX  write the trace CSVs under PREFIX (overrides the
- *                   spec's `export` line; sharded runs append _s<k>)
- *  --shards N       partition the fleet into N shards (default 1 =
- *                   the single-threaded driver; see
- *                   docs/PARALLELISM.md)
- *  --threads N      worker threads for the sharded driver (default 1)
- *  --barrier-ms N   time-barrier window in ms (default 100)
+ *                   spec's `export` line; with N >= 2 shards each
+ *                   shard's CSVs go under PREFIX_s<k>)
+ *  --shards N       partition the fleet into N shards (default 1, the
+ *                   whole fleet as one shard; see docs/PARALLELISM.md)
+ *  --threads N      worker threads advancing the shards (default 1)
+ *  --barrier-ms N   time-barrier window in ms (default 100); no effect
+ *                   at one shard, which runs the horizon as one window
  *  --print          print the canonical spec text and exit (lint /
  *                   round-trip check; no simulation)
  *  --list [DIR]     list the `.exp` gallery under DIR (default
  *                   experiments/) with each file's one-line
  *                   description, and exit
  *
- * Two runs of the same spec + seed emit byte-identical JSON (the CI
- * experiment-smoke job diffs exactly that); a sharded run's JSON is
- * additionally byte-identical at any --threads value. Parse errors
- * carry the offending line number and exit 2; see docs/EXPERIMENTS.md
- * for the grammar and the checked-in gallery under experiments/.
+ * Two runs of the same spec + seed + --shards emit byte-identical JSON
+ * at any --threads value (the CI experiment-smoke job diffs exactly
+ * that). Malformed or out-of-range flag values, and spec parse errors
+ * (which carry the offending line number), exit 2; see
+ * docs/EXPERIMENTS.md for the grammar and the checked-in gallery under
+ * experiments/.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/spec_text.h"
 #include "experiment/experiment.h"
 #include "experiment/gallery.h"
-#include "experiment/sharded_experiment.h"
 
 namespace {
 
@@ -81,7 +82,7 @@ main(int argc, char** argv)
   std::uint64_t seed = 0;
   int shards = 1;
   int threads = 1;
-  long barrier_ms = 100;
+  int barrier_ms = 100;
   bool print_only = false;
   if (argc >= 2 && std::strcmp(argv[1], "--list") == 0) {
     if (argc > 3) return Usage(argv[0]);
@@ -89,18 +90,22 @@ main(int argc, char** argv)
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+      if (!spec_text::ParseUint64(argv[++i], &seed)) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-      if (shards < 1) return Usage(argv[0]);
+      if (!spec_text::ParseInt(argv[++i], &shards) || shards < 1) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) return Usage(argv[0]);
+      if (!spec_text::ParseInt(argv[++i], &threads) || threads < 1) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--barrier-ms") == 0
                && i + 1 < argc) {
-      barrier_ms = std::atol(argv[++i]);
-      if (barrier_ms < 1) return Usage(argv[0]);
+      if (!spec_text::ParseInt(argv[++i], &barrier_ms) || barrier_ms < 1) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--export") == 0 && i + 1 < argc) {
@@ -146,24 +151,16 @@ main(int argc, char** argv)
   experiment::RunOptions opts;
   opts.seed = seed;
   if (export_prefix != nullptr) opts.export_prefix = export_prefix;
-  experiment::ExperimentResult result;
-  if (shards <= 1) {
-    // The single-threaded driver IS the reference semantics: every
-    // golden was recorded through it, so shards=1 never routes
-    // through the sharded core.
-    experiment::Experiment exp(std::move(spec), opts);
-    result = exp.Run();
-  } else {
-    experiment::ShardOptions sh;
-    sh.shards = shards;
-    sh.threads = threads;
-    sh.barrier = Ms(barrier_ms);
-    std::fprintf(stderr, "sharded driver: %d shards, %d threads, "
-                 "%ldms barriers\n", shards, threads, barrier_ms);
-    experiment::ShardedExperiment exp(std::move(spec), opts, sh);
-    result = exp.Run();
+  experiment::ShardOptions sh;
+  sh.shards = shards;
+  sh.threads = threads;
+  sh.barrier = Ms(barrier_ms);
+  if (shards > 1) {
+    std::fprintf(stderr, "partitioned run: %d shards, %d threads, "
+                 "%dms barriers\n", shards, threads, barrier_ms);
   }
-  const std::string json = result.ToJson();
+  experiment::Experiment exp(std::move(spec), opts, sh);
+  const std::string json = exp.Run().ToJson();
 
   if (out_path != nullptr) {
     std::FILE* f = std::fopen(out_path, "w");

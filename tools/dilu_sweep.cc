@@ -28,12 +28,12 @@
  * exactly that); see docs/SWEEP.md for the grammar and semantics.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/spec_text.h"
 #include "experiment/experiment_spec.h"
 #include "experiment/gallery.h"
 #include "sweep/sweep_runner.h"
@@ -127,8 +127,9 @@ main(int argc, char** argv)
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) return Usage(argv[0]);
+      if (!spec_text::ParseInt(argv[++i], &threads) || threads < 1) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--exp-dir") == 0 && i + 1 < argc) {
