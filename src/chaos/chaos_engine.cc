@@ -37,17 +37,14 @@ void
 ChaosEngine::Arm()
 {
   if (armed_) return;
-  armed_ = true;
-  sorted_ = spec_.Sorted();
-  outcomes_.resize(sorted_.size());
+  PrepareDeferred();
   for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    outcomes_[i].event = sorted_[i];
     if (sorted_[i].at < rt_->now()) {
       DILU_WARN << "chaos event '" << Describe(sorted_[i])
                 << "' scheduled in the past; skipped";
       continue;
     }
-    rt_->simulation().Post(sorted_[i].at, [this, i] { Inject(i); });
+    rt_->simulation().Post(sorted_[i].at, [this, i] { Deliver(i); });
   }
 }
 

@@ -49,32 +49,14 @@ ShardedSimulation::ShardedSimulation(std::vector<Simulation*> shards,
     : shards_(std::move(shards)),
       mailboxes_(shards_.size()),
       next_seq_(shards_.size() + 1, 0),
-      quantum_(quantum)
+      quantum_(quantum),
+      pool_(std::max(1, std::min(threads, shard_count())))
 {
   DILU_CHECK(!shards_.empty());
   DILU_CHECK(quantum_ > 0);
   for (Simulation* s : shards_) DILU_CHECK(s != nullptr);
   now_ = shards_[0]->now();
   for (Simulation* s : shards_) DILU_CHECK(s->now() == now_);
-  threads_ = std::max(1, std::min(threads, shard_count()));
-  if (threads_ > 1) {
-    workers_.reserve(static_cast<std::size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) {
-      workers_.emplace_back([this, w] { WorkerLoop(w); });
-    }
-  }
-}
-
-ShardedSimulation::~ShardedSimulation()
-{
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
 }
 
 void
@@ -84,7 +66,8 @@ ShardedSimulation::Post(std::int32_t target, TimeUs when, EventCallback fn,
   DILU_CHECK(target >= 0 && target < shard_count());
   DILU_CHECK(source >= kCoordinator && source < shard_count());
   // Lane single-writer rule: shard `source` only posts from its own
-  // callbacks (one worker), the coordinator lane only between windows.
+  // callbacks (one thread per window), the coordinator lane only
+  // between windows.
   const std::uint64_t seq =
       next_seq_[static_cast<std::size_t>(source + 1)]++;
   mailboxes_[static_cast<std::size_t>(target)].Push(
@@ -92,50 +75,11 @@ ShardedSimulation::Post(std::int32_t target, TimeUs when, EventCallback fn,
 }
 
 void
-ShardedSimulation::RunStripe(int worker, TimeUs target)
-{
-  for (int s = worker; s < shard_count(); s += threads_) {
-    shards_[static_cast<std::size_t>(s)]->RunUntil(target);
-  }
-}
-
-void
-ShardedSimulation::WorkerLoop(int worker)
-{
-  std::uint64_t seen = 0;
-  for (;;) {
-    TimeUs target = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-      target = target_;
-    }
-    RunStripe(worker, target);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--running_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
-void
 ShardedSimulation::RunWindow(TimeUs target)
 {
-  if (workers_.empty()) {
-    RunStripe(0, target);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    target_ = target;
-    running_ = threads_;
-    ++epoch_;
-  }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return running_ == 0; });
+  pool_.ForEach(shards_.size(), [this, target](std::size_t s) {
+    shards_[s]->RunUntil(target);
+  });
 }
 
 void
@@ -156,15 +100,8 @@ ShardedSimulation::RunUntil(TimeUs deadline)
   // — until every mailbox is empty and the fleet is quiescent. The
   // EventQueue deadline is inclusive, so re-running a shard at `now_`
   // fires exactly the newly drained events.
-  for (;;) {
-    bool pending = false;
-    for (const ShardMailbox& mb : mailboxes_) {
-      if (!mb.empty()) {
-        pending = true;
-        break;
-      }
-    }
-    if (!pending) break;
+  while (std::any_of(mailboxes_.begin(), mailboxes_.end(),
+                     [](const ShardMailbox& mb) { return !mb.empty(); })) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       mailboxes_[s].DrainInto(&shards_[s]->queue(), now_);
     }

@@ -19,21 +19,23 @@
  * (when, source, seq)* — a total order that does not depend on thread
  * interleaving, because `seq` is a per-source counter and every source
  * runs single-threaded within a window. Inside a window each shard is
- * a deterministic single-threaded simulation. Between windows only the
- * coordinator runs. Hence two runs — at any thread count — execute the
- * exact same event sequence per shard, and exports are byte-identical.
+ * a deterministic single-threaded simulation, pulled by whichever
+ * thread of the WorkerPool (sim/worker_pool.h) claims it first; which
+ * thread that is never matters, since shards share nothing mid-window.
+ * Between windows only the coordinator runs. Hence two runs — at any
+ * thread count — execute the exact same event sequence per shard, and
+ * exports are byte-identical.
  */
 #ifndef DILU_SIM_SHARD_H_
 #define DILU_SIM_SHARD_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/simulation.h"
+#include "sim/worker_pool.h"
 
 namespace dilu::sim {
 
@@ -87,12 +89,14 @@ class ShardMailbox {
  *      that fall inside the window);
  *   2. mailbox drain — coordinator moves each mailbox into its shard's
  *      queue in (when, source, seq) order;
- *   3. window run    — workers advance disjoint shard stripes to the
- *      window end; shard code may Post() cross-shard effects, which
- *      land in mailboxes for the *next* drain.
- * Worker/coordinator hand-offs use a mutex + condvar, so every write a
- * worker makes happens-before the coordinator's drain and vice versa
- * (the core is TSan-clean by construction, and CI checks it).
+ *   3. window run    — the pool's threads, the coordinator among
+ *      them, pull shards off one cursor and advance each to the window
+ *      end; shard code may Post() cross-shard effects, which land in
+ *      mailboxes for the *next* drain.
+ * The window run is one WorkerPool::ForEach, whose return orders every
+ * write a shard made before the coordinator's drain, and the drain
+ * before the next window (the core is TSan-clean by construction, and
+ * CI checks it).
  */
 class ShardedSimulation {
  public:
@@ -102,19 +106,19 @@ class ShardedSimulation {
   /**
    * @param shards   one Simulation per shard; borrowed, must outlive
    *                 the driver, and all at the same current time
-   * @param threads  worker threads (clamped to [1, shards]); 1 runs
-   *                 every window inline on the calling thread
+   * @param threads  threads that run windows, counting the calling
+   *                 thread (clamped to [1, shards]); 1 runs every
+   *                 window inline on the calling thread
    * @param quantum  barrier window length (> 0)
    */
   ShardedSimulation(std::vector<Simulation*> shards, int threads,
                     TimeUs quantum);
-  ~ShardedSimulation();
 
   ShardedSimulation(const ShardedSimulation&) = delete;
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  int threads() const { return threads_; }
+  int threads() const { return pool_.threads(); }
   TimeUs quantum() const { return quantum_; }
   /** Barrier time all shards have reached (not mid-window progress). */
   TimeUs now() const { return now_; }
@@ -143,30 +147,21 @@ class ShardedSimulation {
   void RunUntil(TimeUs deadline);
 
  private:
-  void WorkerLoop(int worker);
-  void RunStripe(int worker, TimeUs target);
   void RunWindow(TimeUs target);
 
   std::vector<Simulation*> shards_;
   std::vector<ShardMailbox> mailboxes_;
-  /** Per-source post counters, lane [source + 1]. Each lane has a
-   *  single writer: the source shard's worker mid-window (stripe
-   *  assignment is fixed), or the coordinator between windows. */
+  /** Per-source post counters, lane [source + 1]. Each lane has one
+   *  writer at a time: within a window exactly one thread runs a shard
+   *  (the pool's cursor hands each shard out once), so only it posts
+   *  from that shard; the coordinator lane is written only between
+   *  windows. Across windows the pool's ForEach hand-off orders one
+   *  thread's writes before the next one's. */
   std::vector<std::uint64_t> next_seq_;
   std::function<void(TimeUs, TimeUs)> hook_;
   TimeUs quantum_;
   TimeUs now_ = 0;
-  int threads_;
-
-  // --- worker pool (unused when threads_ == 1) ---
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t epoch_ = 0;   ///< bumped per window to release workers
-  TimeUs target_ = 0;         ///< window end workers advance to
-  int running_ = 0;           ///< workers still inside the window
-  bool stop_ = false;
+  WorkerPool pool_;
 };
 
 }  // namespace dilu::sim

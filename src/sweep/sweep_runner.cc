@@ -1,11 +1,11 @@
 #include "sweep/sweep_runner.h"
 
-#include <mutex>
-#include <thread>
+#include <algorithm>
 #include <utility>
 
 #include "common/spec_text.h"
 #include "experiment/experiment_spec.h"
+#include "sim/worker_pool.h"
 
 namespace dilu::sweep {
 
@@ -103,47 +103,23 @@ std::vector<experiment::ExperimentResult>
 ExecuteSweep(const SweepMatrix& matrix, int threads)
 {
   std::vector<experiment::ExperimentResult> results(matrix.runs.size());
-  if (matrix.runs.empty()) return results;
-  const int n = static_cast<int>(matrix.runs.size());
-  if (threads < 1) threads = 1;
-  if (threads > n) threads = n;
-
-  // Work-pulling pool: the cursor hands out runs first-come (which
-  // thread gets which run is a race), every result lands in its run's
-  // pre-sized slot (no two threads share one), and the caller reads
-  // the slots only after every worker joined. Determinism lives in the
-  // slot order, not the schedule.
-  std::mutex mu;
-  std::size_t next = 0;
-  const auto worker = [&] {
-    for (;;) {
-      std::size_t i = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (next >= matrix.runs.size()) return;
-        i = next++;
-      }
-      const SweepRun& run = matrix.runs[i];
-      experiment::RunOptions opts;
-      opts.seed = run.seed;
-      // One worker thread per run already saturates the pool; nesting
-      // the driver's own shard pool would oversubscribe.
-      experiment::ShardOptions shard_opts;
-      shard_opts.shards = run.shards;
-      shard_opts.threads = 1;
-      experiment::Experiment exp(run.spec, opts, shard_opts);
-      results[i] = exp.Run();
-    }
-  };
-
-  if (threads == 1) {
-    worker();
-    return results;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+  // Which thread runs which run is a race; every result lands in its
+  // run's pre-sized slot, and ForEach returns only after every run has.
+  // Determinism lives in the slot order, not the schedule.
+  sim::WorkerPool pool(std::max(
+      1, std::min(threads, static_cast<int>(matrix.runs.size()))));
+  pool.ForEach(matrix.runs.size(), [&](std::size_t i) {
+    const SweepRun& run = matrix.runs[i];
+    experiment::RunOptions opts;
+    opts.seed = run.seed;
+    // The sweep pool is already saturated: a run's own shard pool gets
+    // one thread, which starts no helper.
+    experiment::ShardOptions shard_opts;
+    shard_opts.shards = run.shards;
+    shard_opts.threads = 1;
+    experiment::Experiment exp(run.spec, opts, shard_opts);
+    results[i] = exp.Run();
+  });
   return results;
 }
 

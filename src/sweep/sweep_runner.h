@@ -11,11 +11,12 @@
  * `seed_base + k`. The pseudo-axis `run.shards` is intercepted here —
  * it sets the cell's shard count instead of mutating the spec.
  *
- * Execution pulls runs off a shared cursor onto N worker threads
- * (mutex-guarded, the ShardedSimulation pool shape) but stores each
- * result into its run's own slot; which thread runs which cell is a
+ * Execution is one sim::WorkerPool::ForEach over the matrix — the
+ * pool ShardedSimulation runs its windows on: the calling thread and
+ * `threads - 1` helpers pull runs off one cursor, and each result is
+ * stored into its run's own slot. Which thread runs which cell is a
  * race, the report never is — aggregation reads the slots in matrix
- * order after every worker has joined, so the output is byte-identical
+ * order after ForEach has returned, so the output is byte-identical
  * at any thread count.
  */
 #ifndef DILU_SWEEP_SWEEP_RUNNER_H_
@@ -65,9 +66,10 @@ bool ExpandSweep(const SweepSpec& sweep,
                  std::string* error);
 
 /**
- * Execute every run of the matrix on `threads` workers (clamped to
- * [1, runs]) and return the results in matrix order. Deterministic:
- * the result vector is byte-for-byte independent of `threads`.
+ * Execute every run of the matrix on `threads` threads, counting the
+ * calling thread (clamped to [1, runs]), and return the results in
+ * matrix order. Deterministic: the result vector is byte-for-byte
+ * independent of `threads`.
  */
 std::vector<experiment::ExperimentResult> ExecuteSweep(
     const SweepMatrix& matrix, int threads);

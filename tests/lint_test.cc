@@ -213,6 +213,21 @@ TEST(LintRules, EventScheduleScopedToSrcOutsideSimAndRuntime)
   EXPECT_TRUE(Lint("bad_schedule.cc", "tests/x.cc").empty());
 }
 
+TEST(LintRules, RawThreadScopedToSrcOutsideTheWorkerPool)
+{
+  const std::set<P> want = {{"raw-thread", 7}, {"raw-thread", 8},
+                            {"raw-thread", 9}, {"raw-thread", 10}};
+  EXPECT_EQ(RuleLines(Lint("bad_raw_thread.cc", "src/cluster/x.cc")), want);
+  // The rest of the sim core is in scope too; only the pool itself,
+  // and code outside src/, may hold threads:
+  EXPECT_EQ(RuleLines(Lint("bad_raw_thread.cc", "src/sim/shard.cc")), want);
+  EXPECT_TRUE(Lint("bad_raw_thread.cc", "src/sim/worker_pool.cc").empty());
+  EXPECT_TRUE(Lint("bad_raw_thread.cc", "tools/x.cc").empty());
+  EXPECT_TRUE(Lint("bad_raw_thread.cc", "tests/x.cc").empty());
+  // std::thread::hardware_concurrency is a query, not a thread:
+  EXPECT_TRUE(Lint("good_thread_query.cc", "src/x.cc").empty());
+}
+
 TEST(LintRules, SeedZeroSentinelScopedByExceptionList)
 {
   const auto got = RuleLines(Lint("bad_seed_zero.cc", "src/x.cc"));
@@ -282,7 +297,7 @@ TEST(LintCatalogue, RuleIdsAreUniqueAndDocumented)
   }
   // The catalogue is part of the documented contract; additions must
   // update docs/STATIC_ANALYSIS.md and this count.
-  EXPECT_EQ(ids.size(), 11u);
+  EXPECT_EQ(ids.size(), 12u);
 }
 
 TEST(LintTreeWalk, WalksDirectoriesAndSortsFindings)

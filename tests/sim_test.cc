@@ -1,12 +1,16 @@
 /** @file Unit tests for the discrete-event engine. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
+#include "sim/worker_pool.h"
 
 namespace dilu::sim {
 namespace {
@@ -331,6 +335,68 @@ TEST(Simulation, RunForNearTheCapClampsNotWraps)
   sim.RunFor(Sec(5));  // would land past the cap: clamps to it
   EXPECT_EQ(sim.now(), kTimeCapUs);
   EXPECT_EQ(fired, 1);
+}
+
+/** Per-index call counts of one ForEach of `n` (slot n: out of range). */
+std::vector<int>
+CountCalls(WorkerPool* pool, std::size_t n)
+{
+  std::vector<std::atomic<int>> hits(n + 1);  // value-initialized: 0
+  pool->ForEach(n, [&](std::size_t i) { ++hits[std::min(i, n)]; });
+  // Read after return: ForEach's return is the happens-before edge.
+  return std::vector<int>(hits.begin(), hits.end());
+}
+
+TEST(WorkerPool, EveryIndexRunsExactlyOnce)
+{
+  for (int threads : {1, 2, 4, 8}) {
+    WorkerPool pool(threads);
+    EXPECT_EQ(pool.threads(), threads);
+    for (std::size_t n : {0u, 1u, 3u, 257u}) {
+      std::vector<int> want(n + 1, 1);
+      want[n] = 0;
+      EXPECT_EQ(CountCalls(&pool, n), want) << threads << " x " << n;
+    }
+  }
+  EXPECT_EQ(WorkerPool(0).threads(), 1);  // one thread: the caller alone
+}
+
+TEST(WorkerPool, CallerWorksAndWaitsForEveryHelperCall)
+{
+  // The caller claims index 0 and holds it until a helper has claimed
+  // another; helper calls finish late. A pool that returned once the
+  // cursor ran dry, without waiting for claimed calls, loses them.
+  for (int threads : {2, 4}) {
+    WorkerPool pool(threads);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> helpers{0};
+    std::atomic<int> done{0};
+    bool caller_ran = false;
+    pool.ForEach(static_cast<std::size_t>(threads), [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        caller_ran = true;
+        while (helpers.load() == 0) std::this_thread::yield();
+      } else {
+        ++helpers;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      ++done;
+    });
+    EXPECT_EQ(done.load(), threads);
+    EXPECT_TRUE(caller_ran);
+  }
+}
+
+TEST(WorkerPool, BackToBackJobsLoseNoIndex)
+{
+  // Races helpers that wake late for job k against job k + 1.
+  WorkerPool pool(4);
+  for (std::size_t round = 0; round < 2000; ++round) {
+    const std::size_t n = 1 + round % 7;
+    std::vector<int> want(n + 1, 1);
+    want[n] = 0;
+    ASSERT_EQ(CountCalls(&pool, n), want) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 #
 # Run from anywhere inside the repository. The parent side is REV
 # (default HEAD^, the parent of the last commit; pass --base HEAD to
-# measure an uncommitted change), checked out with `git worktree add`
-# into a temporary directory and removed again on exit. The change side
+# measure an uncommitted change), exported with `git archive` into a
+# temporary directory and removed again on exit. The change side
 # is the working tree the script lives in. Workloads default to every
 # workload in BENCHMARK.json.
 #
@@ -65,16 +65,11 @@ fi
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")"
 parent_tree="$work/parent"
-cleanup() {
-  if [[ -d "$parent_tree" ]]; then
-    git -C "$change_tree" worktree remove --force "$parent_tree" || true
-  fi
-  rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
 parent_label="$(git -C "$change_tree" rev-parse --short "$base_rev")"
-git -C "$change_tree" worktree add --detach --quiet "$parent_tree" "$base_rev"
+mkdir -p "$parent_tree"
+git -C "$change_tree" archive "$base_rev" | tar -x -C "$parent_tree"
 change_label="$(git -C "$change_tree" rev-parse --short HEAD)"
 if [[ -n "$(git -C "$change_tree" status --porcelain --untracked-files=no)" ]]; then
   change_label="$change_label+dirty"
@@ -167,7 +162,7 @@ summary = {"schema": "dilu-ab/1", "title": title,
            "method": f"tools/bench_ab.sh --pairs {pairs}: same-host "
                      f"interleaved A/B, python3 perfbench/run.py --workload "
                      f"W --seed 1 --seconds {seconds} --trace 0, parent "
-                     "checked out with git worktree add, each side under "
+                     "exported with git archive, each side under "
                      "its own CARGO_TARGET_DIR, odd pairs parent first.",
            "perfbench": {}}
 for w in workloads:

@@ -50,6 +50,9 @@ const std::vector<RuleInfo> kRules = {
      "spec-owned seed) are only sanctioned in "
      "src/experiment/experiment.cc and tools/dilu_run.cc; elsewhere "
      "derive the stream from the cluster seed"},
+    {"raw-thread", "src/ except src/sim/worker_pool.*",
+     "std::thread/jthread/async/condition_variable outside the one "
+     "worker pool; run parallel work through sim::WorkerPool::ForEach"},
     {"bare-allow", kEverywhere,
      "dilu-lint: allow(...) needs a known rule-id and a reason"},
 };
@@ -767,6 +770,24 @@ Linter::LintFile(const std::string& path, const std::string& content,
                "Simulation::Post (shard-local) or "
                "ShardedSimulation::Post (cross-shard mailbox)");
         }
+      }
+    }
+  }
+
+  // --- raw-thread -----------------------------------------------------
+  // Threads and condvars live only in the one worker pool; asking the
+  // host for its thread count starts nothing.
+  if (StartsWith(path, "src/") && !StartsWith(path, "src/sim/worker_pool.")) {
+    for (const std::string w : {"std::thread", "std::jthread", "std::async",
+                                "std::condition_variable",
+                                "std::condition_variable_any"}) {
+      for (std::size_t at = FindWord(code, w, 0); at != std::string::npos;
+           at = FindWord(code, w, at + 1)) {
+        if (code.compare(at + w.size(), 22, "::hardware_concurrency") == 0)
+          continue;
+        emit(at, "raw-thread",
+             w + " outside src/sim/worker_pool.*: run parallel work "
+                 "through sim::WorkerPool::ForEach");
       }
     }
   }

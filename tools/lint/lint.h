@@ -4,7 +4,7 @@
  *
  * A token-level checker (no libclang) in the spirit of the spec_text
  * scanners: each file is reduced to a "code view" with comments and
- * string/char literals blanked out, then nine rules pattern-match the
+ * string/char literals blanked out, then the rules pattern-match the
  * view. The rules encode guarantees the test suite depends on but the
  * compiler cannot see:
  *
@@ -28,6 +28,9 @@
  *                     through mailboxes)
  *   seed-zero         `seed == 0` sentinel comparisons only in the
  *                     sanctioned legacy-seed sites (exception list)
+ *   raw-thread        no std::thread/jthread/async/condition_variable
+ *                     in src/ outside the one worker pool
+ *                     (src/sim/worker_pool.*)
  *
  * Findings print `file:line: rule-id: message` and are suppressible in
  * place with `// dilu-lint: allow(rule-id reason)` — the reason is
